@@ -1,102 +1,4 @@
 """Exact-arithmetic verification of potential-function identities for the
 sl2 Gaudin model on tensor powers of the vector representation."""
 
-from .weight_space import (
-    SubsetIndex,
-    WeightVector,
-    apply_e,
-    apply_f,
-    apply_h,
-    basis_vector,
-    is_singular,
-    shapovalov,
-    subsets,
-    zero_vector,
-)
-from .projection import (
-    ProjectionCoefficients,
-    coefficients,
-    pairing_closed_form,
-    pairing_difference,
-    project,
-    project_oracle,
-)
-from .operators import (
-    PairingFunction,
-    ParameterPoint,
-    casimir_apply,
-    hamiltonian_apply,
-    hamiltonian_basis_action,
-    hamiltonian_pairing,
-)
-from .symbolic import (
-    DerivativeCache,
-    LinearForm,
-    LogRationalExpr,
-    Polynomial,
-    Var,
-    apply_partial_I,
-    dumps_expr,
-    expr_equal,
-    loads_expr,
-)
-from .potentials import (
-    PotentialConstants,
-    alpha_count,
-    build_P,
-    build_Q,
-    enumerate_alpha,
-    potential_constants,
-    verify_corollary,
-    verify_relation,
-    verify_theorem_first,
-    verify_theorem_second,
-)
-from .report import CheckReport
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckReport",
-    "DerivativeCache",
-    "LinearForm",
-    "LogRationalExpr",
-    "PairingFunction",
-    "ParameterPoint",
-    "Polynomial",
-    "PotentialConstants",
-    "ProjectionCoefficients",
-    "SubsetIndex",
-    "Var",
-    "WeightVector",
-    "alpha_count",
-    "apply_e",
-    "apply_f",
-    "apply_h",
-    "apply_partial_I",
-    "basis_vector",
-    "build_P",
-    "build_Q",
-    "casimir_apply",
-    "coefficients",
-    "dumps_expr",
-    "enumerate_alpha",
-    "expr_equal",
-    "hamiltonian_apply",
-    "hamiltonian_basis_action",
-    "hamiltonian_pairing",
-    "is_singular",
-    "loads_expr",
-    "pairing_closed_form",
-    "pairing_difference",
-    "potential_constants",
-    "project",
-    "project_oracle",
-    "shapovalov",
-    "subsets",
-    "verify_corollary",
-    "verify_relation",
-    "verify_theorem_first",
-    "verify_theorem_second",
-    "zero_vector",
-]

@@ -1,14 +1,15 @@
-"""Verification runners behind the CLI's check names.
+"""Verification checks behind the CLI's check names.
 
-Each runner exercises one family of exact identities at a given (n, k)
-and returns a CheckReport.  The theorem checks live in `potentials`;
-this module adds the projection-oracle, defining-relation, locality and
-operator-property checks, plus the registry the CLI dispatches on.
+Each check exercises one family of exact identities at a given (n, k)
+and returns a CheckReport; `cli.run_checks` times it and turns an
+exception it raises into a failed report.  The theorem checks live in
+`potentials`; this module adds the projection-oracle, defining-relation,
+locality and operator-property checks, plus the registry the CLI
+dispatches on.
 """
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -31,10 +32,9 @@ from .projection import (
     project,
     project_oracle,
 )
-from .report import CheckReport, FailureCollector
+from .report import CheckReport
 from .weight_space import (
     SubsetIndex,
-    WeightVector,
     apply_e,
     apply_f,
     apply_h,
@@ -78,14 +78,13 @@ def oracle_coefficients(n: int, k: int) -> tuple[list[Fraction], list[Fraction]]
 def check_shapovalov_oracle(n: int, k: int) -> CheckReport:
     """Closed-form projection versus the Gram-solve oracle, plus the
     pairing and expansion contracts tied to the coefficient tables."""
-    started = time.perf_counter()
-    col = FailureCollector()
+    rep = CheckReport("shapovalov-oracle")
     table = coefficients(n, k)
     oracle_a, oracle_b = oracle_coefficients(n, k)
-    col.record(list(table.a) == oracle_a, what="a-table vs oracle", closed=table.a, oracle=oracle_a)
-    col.record(list(table.b) == oracle_b, what="b-table vs oracle", closed=table.b, oracle=oracle_b)
+    rep.record(list(table.a) == oracle_a, what="a-table vs oracle", closed=table.a, oracle=oracle_a)
+    rep.record(list(table.b) == oracle_b, what="b-table vs oracle", closed=table.b, oracle=oracle_b)
     for ell in range(1, k + 1):
-        col.record(
+        rep.record(
             table.a[ell - 1] - table.a[ell] == pairing_difference(n, k, ell),
             what="pairing difference",
             ell=ell,
@@ -95,48 +94,39 @@ def check_shapovalov_oracle(n: int, k: int) -> CheckReport:
     for I in all_subsets:
         v = project(basis_vector(n, I))
         projected.append(v)
-        col.record(v == project_oracle(basis_vector(n, I)), what="projection vs oracle", I=I)
-        col.record(is_singular(v), what="projected vector singular", I=I)
-        col.record(project(v) == v, what="projection idempotent", I=I)
+        rep.record(v == project_oracle(basis_vector(n, I)), what="projection vs oracle", I=I)
+        rep.record(is_singular(v), what="projected vector singular", I=I)
+        rep.record(project(v) == v, what="projection idempotent", I=I)
         # b-expansion: V_I plus the b-weighted lowered sums reconstructs v_I
         recon = basis_vector(n, I)
         for K in subsets(n, k - 1):
             recon = recon + table.b[I.intersection_size(K)] * apply_f(basis_vector(n, K))
-        col.record(recon == v, what="b-expansion", I=I)
+        rep.record(recon == v, what="b-expansion", I=I)
     for i, I in enumerate(all_subsets):
         for j, J in enumerate(all_subsets):
             expected = pairing_closed_form(I, J)
-            col.record(
+            rep.record(
                 shapovalov(projected[i], projected[j]) == expected
                 and shapovalov(projected[i], basis_vector(n, J)) == expected,
                 what="pairing closed form",
                 I=I,
                 J=J,
             )
-    return CheckReport(
-        "shapovalov-oracle",
-        col.passed,
-        col.cases,
-        col.first_failure,
-        elapsed_s=time.perf_counter() - started,
-    )
+    return rep
 
 
 def check_relations(n: int, k: int) -> CheckReport:
     """Defining relations: summing the projections of V_{K+m} over all
     m outside a (k-1)-subset K gives zero, exactly."""
-    started = time.perf_counter()
-    col = FailureCollector()
+    rep = CheckReport("relations")
     for K in subsets(n, k - 1):
         acc = zero_vector(n, k)
         for m in range(1, n + 1):
             if K.contains(m):
                 continue
             acc = acc + project(basis_vector(n, K.with_element(m)))
-        col.record(acc.is_zero, K=K)
-    return CheckReport(
-        "relations", col.passed, col.cases, col.first_failure, elapsed_s=time.perf_counter() - started
-    )
+        rep.record(acc.is_zero, K=K)
+    return rep
 
 
 def locality_constant(n: int, k: int) -> Fraction:
@@ -172,34 +162,13 @@ def locality_constant(n: int, k: int) -> Fraction:
 def check_locality(n: int, k: int) -> CheckReport:
     """Projection locality: one small-space projection, embedded and
     summed, reproduces v_{1..k} up to a computed nonzero constant."""
-    started = time.perf_counter()
-    col = FailureCollector()
-    details: dict | None = None
-    try:
-        c = locality_constant(n, k)
-        details = {"constant": str(c)}
-        col.record(c != 0, what="constant nonzero", constant=c)
-        if k == 1:
-            col.record(c == Fraction(2, n), what="k=1 constant 2/n", constant=c)
-    except RuntimeError as exc:
-        col.record(False, error=exc)
-    return CheckReport(
-        "locality",
-        col.passed,
-        col.cases,
-        col.first_failure,
-        details=details,
-        elapsed_s=time.perf_counter() - started,
-    )
-
-
-def _random_like_vector(n: int, k: int, salt: int) -> WeightVector:
-    """Deterministic dense vector with varied small coefficients."""
-    coeffs = tuple(
-        Fraction((i * 7 + salt * 3) % 11 - 5, 1 + (i + salt) % 4)
-        for i in range(len(subsets(n, k)))
-    )
-    return WeightVector(n, k, coeffs)
+    rep = CheckReport("locality")
+    c = locality_constant(n, k)
+    rep.details = {"constant": str(c)}
+    rep.record(c != 0, what="constant nonzero", constant=c)
+    if k == 1:
+        rep.record(c == Fraction(2, n), what="k=1 constant 2/n", constant=c)
+    return rep
 
 
 def check_hamiltonian_properties(
@@ -208,9 +177,8 @@ def check_hamiltonian_properties(
     """Operator algebra at exact points: symmetry, commutativity, sl2
     equivariance, projector commutation, and agreement of the two
     independent application paths."""
-    started = time.perf_counter()
+    rep = CheckReport("hamiltonian-properties")
     pts = list(points) if points is not None else deterministic_parameter_points(n)
-    col = FailureCollector()
     basis = [basis_vector(n, I) for I in subsets(n, k)]
     for u in pts:
         matrices = {m: hamiltonian_matrix(m, u, n, k) for m in range(1, n + 1)}
@@ -218,7 +186,7 @@ def check_hamiltonian_properties(
             mat = matrices[m]
             dim = len(mat)
             symmetric = all(mat[r][c] == mat[c][r] for r in range(dim) for c in range(r + 1, dim))
-            col.record(symmetric, what="symmetry", m=m, point=u.values)
+            rep.record(symmetric, what="symmetry", m=m, point=u.values)
         for m in range(1, n + 1):
             for j in range(m + 1, n + 1):
                 ok = all(
@@ -226,7 +194,7 @@ def check_hamiltonian_properties(
                     == hamiltonian_apply(j, u, hamiltonian_apply(m, u, x))
                     for x in basis
                 )
-                col.record(ok, what="commutativity", m=m, j=j, point=u.values)
+                rep.record(ok, what="commutativity", m=m, j=j, point=u.values)
         for m in range(1, n + 1):
             ok_e = all(
                 apply_e(hamiltonian_apply(m, u, x)) == hamiltonian_apply(m, u, apply_e(x))
@@ -240,20 +208,20 @@ def check_hamiltonian_properties(
                 apply_h(hamiltonian_apply(m, u, x)) == hamiltonian_apply(m, u, apply_h(x))
                 for x in basis
             )
-            col.record(ok_e and ok_f and ok_h, what="sl2 equivariance", m=m, point=u.values)
+            rep.record(ok_e and ok_f and ok_h, what="sl2 equivariance", m=m, point=u.values)
         for m in range(1, n + 1):
             ok = all(
                 project(hamiltonian_apply(m, u, x)) == hamiltonian_apply(m, u, project(x))
                 for x in basis
             )
-            col.record(ok, what="projector commutation", m=m, point=u.values)
+            rep.record(ok, what="projector commutation", m=m, point=u.values)
         for m in range(1, n + 1):
             for I in subsets(n, k):
                 terms = hamiltonian_basis_action(m, I)
                 ok = evaluate_basis_action(terms, u, n, k) == hamiltonian_apply(
                     m, u, basis_vector(n, I)
                 )
-                col.record(ok, what="basis action vs direct application", m=m, I=I)
+                rep.record(ok, what="basis action vs direct application", m=m, I=I)
         # pairing function against the full operator route, on a few vectors
         for m in (1, n):
             for I in subsets(n, k)[:3]:
@@ -263,16 +231,10 @@ def check_hamiltonian_properties(
                         hamiltonian_apply(m, u, project(basis_vector(n, I))),
                         project(basis_vector(n, J)),
                     )
-                    col.record(
+                    rep.record(
                         pf.evaluate(u) == direct, what="pairing vs operator route", m=m, I=I, J=J
                     )
-    return CheckReport(
-        "hamiltonian-properties",
-        col.passed,
-        col.cases,
-        col.first_failure,
-        elapsed_s=time.perf_counter() - started,
-    )
+    return rep
 
 
 def registry() -> dict[str, Callable]:

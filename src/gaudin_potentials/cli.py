@@ -1,9 +1,9 @@
 """Command-line harness: verify, tables, potential, pair.
 
 Exit status contract for `verify`: 0 when every selected check passes,
-1 when any check fails, 2 on usage errors.  Reports are deterministic
-for a fixed configuration (including the seed) up to the elapsed-time
-fields.
+1 when any check fails or raises, 2 on usage errors.  Reports are
+deterministic for a fixed configuration (including the seed) up to the
+elapsed-time fields.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .points import (
 )
 from .potentials import build_P, build_Q
 from .projection import coefficients, pairing_closed_form
+from .report import CheckReport
 from .symbolic import LogRationalExpr, dumps_expr
 from .weight_space import MAX_N, SubsetIndex
 
@@ -40,8 +42,6 @@ class RunConfig:
     checks: tuple[str, ...]
     seed: int | None = None
     points: int = DEFAULT_POINT_COUNT
-    fmt: str = "text"
-    out: str | None = None
 
     def parameter_points(self) -> list[ParameterPoint]:
         pts = deterministic_parameter_points(self.n)
@@ -57,10 +57,19 @@ class RunConfig:
 
 
 def run_checks(config: RunConfig) -> tuple[int, dict]:
+    """Run the selected checks in order, timing each.  A check that
+    raises becomes a failed report naming the exception, and the
+    remaining checks still run."""
     reg = registry()
     reports = []
     for name in config.checks:
-        reports.append(reg[name](config))
+        started = time.perf_counter()
+        try:
+            rep = reg[name](config)
+        except Exception as exc:  # any error inside a check is that check's failure
+            rep = CheckReport(name, first_failure={"error": f"{type(exc).__name__}: {exc}"})
+        rep.elapsed_s = time.perf_counter() - started
+        reports.append(rep)
     status = 0 if all(r.passed for r in reports) else 1
     report = {
         "n": config.n,
@@ -130,14 +139,12 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         checks=selected,
         seed=args.seed,
         points=args.points,
-        fmt=args.format,
-        out=args.out,
     )
     status, report = run_checks(config)
-    if config.fmt == "json":
-        _emit(json.dumps(report, indent=2) + "\n", config.out)
+    if args.format == "json":
+        _emit(json.dumps(report, indent=2) + "\n", args.out)
     else:
-        _emit(render_text_report(report), config.out)
+        _emit(render_text_report(report), args.out)
     return status
 
 

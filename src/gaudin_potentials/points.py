@@ -34,49 +34,48 @@ def primes(count: int) -> list[int]:
         bound *= 2
 
 
+def _prime_blocks(n: int, count: int) -> list[list[int]]:
+    """`count` consecutive blocks of n primes, pairwise distinct overall."""
+    ps = primes(count * n)
+    return [ps[r * n : (r + 1) * n] for r in range(count)]
+
+
 def deterministic_parameter_points(n: int, count: int = DEFAULT_POINT_COUNT) -> list[ParameterPoint]:
     """`count` parameter points with pairwise-distinct prime coordinates."""
-    ps = primes(count * n)
-    return [
-        ParameterPoint.of(ps[r * n : (r + 1) * n])
-        for r in range(count)
-    ]
+    return [ParameterPoint.of(block) for block in _prime_blocks(n, count)]
 
 
 def deterministic_z_points(n: int, k: int, count: int = DEFAULT_POINT_COUNT) -> list[dict[Var, Fraction]]:
     """Full variable grids z_i^(j) = 100*j + prime(i), one prime block per pass."""
-    ps = primes(count * n)
-    points = []
-    for r in range(count):
-        block = ps[r * n : (r + 1) * n]
-        points.append(
-            {Var(i, j): Fraction(100 * j + block[i - 1]) for i in range(1, n + 1) for j in range(1, k + 1)}
-        )
-    return points
+    return [
+        {Var(i, j): Fraction(100 * j + block[i - 1]) for i in range(1, n + 1) for j in range(1, k + 1)}
+        for block in _prime_blocks(n, count)
+    ]
+
+
+def _random_row(rng: random.Random, n: int) -> list[Fraction]:
+    return [Fraction(rng.randint(-9999, 9999), rng.randint(1, 64)) for _ in range(n)]
+
+
+def _distinct_row(rng: random.Random, n: int) -> list[Fraction]:
+    """Draw rows of n random rationals until one has distinct entries."""
+    while True:
+        row = _random_row(rng, n)
+        if len(set(row)) == n:
+            return row
 
 
 def random_parameter_points(n: int, count: int, seed: int) -> list[ParameterPoint]:
     """Seeded random rational points with distinct coordinates."""
     rng = random.Random(seed)
-    points = []
-    while len(points) < count:
-        values = tuple(Fraction(rng.randint(-9999, 9999), rng.randint(1, 64)) for _ in range(n))
-        if len(set(values)) == n:
-            points.append(ParameterPoint(values))
-    return points
+    return [ParameterPoint(tuple(_distinct_row(rng, n))) for _ in range(count)]
 
 
 def random_z_points(n: int, k: int, count: int, seed: int) -> list[dict[Var, Fraction]]:
     """Seeded random variable grids with distinct level-1 coordinates."""
     rng = random.Random(seed)
     points: list[dict[Var, Fraction]] = []
-    while len(points) < count:
-        level1 = [Fraction(rng.randint(-9999, 9999), rng.randint(1, 64)) for _ in range(n)]
-        if len(set(level1)) != n:
-            continue
-        grid = {Var(i, 1): level1[i - 1] for i in range(1, n + 1)}
-        for j in range(2, k + 1):
-            for i in range(1, n + 1):
-                grid[Var(i, j)] = Fraction(rng.randint(-9999, 9999), rng.randint(1, 64))
-        points.append(grid)
+    for _ in range(count):
+        rows = [_distinct_row(rng, n)] + [_random_row(rng, n) for _ in range(2, k + 1)]
+        points.append({Var(i, j): rows[j - 1][i - 1] for j in range(1, k + 1) for i in range(1, n + 1)})
     return points

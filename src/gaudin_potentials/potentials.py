@@ -12,18 +12,16 @@ functions check those identities exactly.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 from typing import Iterator, Sequence
 
 from .operators import PairingFunction, ParameterPoint, hamiltonian_apply, hamiltonian_pairing
 from .points import deterministic_parameter_points, deterministic_z_points
 from .projection import coefficients, project
-from .report import CheckReport, FailureCollector
+from .report import CheckReport
 from .symbolic import (
     DerivativeCache,
     LinearForm,
@@ -32,6 +30,7 @@ from .symbolic import (
     Var,
     derivative_order_key,
     expr_equal,
+    level_assignments,
 )
 from .weight_space import SubsetIndex, basis_vector, subsets
 
@@ -85,7 +84,8 @@ def potential_constants(n: int, k: int) -> PotentialConstants:
     _require_sizes(n, k)
     c1 = Fraction(factorial(n - 2 * k + 1), 2**k * factorial(k) * factorial(n - k + 1))
     c2 = -Fraction(factorial(n - 2 * k + 1), 2**k * factorial(k - 1) * factorial(n - k))
-    assert c2 / c1 == -k * (n - k + 1)
+    if c2 / c1 != -k * (n - k + 1):
+        raise RuntimeError(f"potential constants violate c2/c1 = -k(n-k+1) at n={n}, k={k}")
     return PotentialConstants(c1, c2)
 
 
@@ -131,13 +131,11 @@ def build_Q(n: int, k: int) -> LogRationalExpr:
 def partial_multisets(I: SubsetIndex, J: SubsetIndex) -> list[tuple[tuple[Var, ...], int]]:
     """Variable multisets of the composed partial operators for I and J,
     with multiplicities over all level-assignment pairs."""
-    k = I.size
     counter: Counter[tuple[Var, ...]] = Counter()
-    for sigma in permutations(I.elements):
-        left = [Var(sigma[t], t + 1) for t in range(k)]
-        for tau in permutations(J.elements):
-            ms = left + [Var(tau[t], t + 1) for t in range(k)]
-            counter[tuple(sorted(ms, key=derivative_order_key))] += 1
+    right = list(level_assignments(J.elements))
+    for left in level_assignments(I.elements):
+        for tau in right:
+            counter[tuple(sorted(left + tau, key=derivative_order_key))] += 1
     return list(counter.items())
 
 
@@ -207,19 +205,16 @@ def verify_theorem_first(n: int, k: int, sample: str = "auto") -> CheckReport:
     """Double partial derivatives of the first potential equal the
     closed-form pairings a_{|I meet J|}."""
     _require_sizes(n, k)
-    started = time.perf_counter()
+    rep = CheckReport("theorem1")
     P = build_P(n, k)
     cache = DerivativeCache(P)
     a = coefficients(n, k).a
-    col = FailureCollector()
     for I, J in sample_pairs(n, k, sample):
         derived = _double_partial(cache, I, J)
         expected = a[I.intersection_size(J)]
         ok = derived.is_constant and derived.constant_value() == expected
-        col.record(ok, I=I, J=J, derived=repr(derived), expected=expected)
-    return CheckReport(
-        "theorem1", col.passed, col.cases, col.first_failure, elapsed_s=time.perf_counter() - started
-    )
+        rep.record(ok, I=I, J=J, derived=repr(derived), expected=expected)
+    return rep
 
 
 def verify_theorem_second(
@@ -234,12 +229,11 @@ def verify_theorem_second(
     Each derivative must also be log-free with simple poles only.
     """
     _require_sizes(n, k)
-    started = time.perf_counter()
+    rep = CheckReport("theorem2")
     Q = build_Q(n, k)
     cache = DerivativeCache(Q)
     pts = list(z_points) if z_points is not None else deterministic_z_points(n, k)
     u_points = [ParameterPoint(tuple(pt[Var(i, 1)] for i in range(1, n + 1))) for pt in pts]
-    col = FailureCollector()
     for I, J in sample_pairs(n, k, sample):
         S = _double_partial(cache, I, J)
         for m in range(1, n + 1):
@@ -260,10 +254,8 @@ def verify_theorem_second(
                         ok = False
                         reason = "pointwise mismatch with operator pairing"
                         break
-            col.record(ok, m=m, I=I, J=J, reason=reason, pairing=pf)
-    return CheckReport(
-        "theorem2", col.passed, col.cases, col.first_failure, elapsed_s=time.perf_counter() - started
-    )
+            rep.record(ok, m=m, I=I, J=J, reason=reason, pairing=pf)
+    return rep
 
 
 def verify_relation(
@@ -275,13 +267,12 @@ def verify_relation(
     """The Euler-type relation tying the two potentials together:
     (1/c1) * D_I D_J P equals (1/c2) * sum_m z_m * d/dz_m D_I D_J Q."""
     _require_sizes(n, k)
-    started = time.perf_counter()
+    rep = CheckReport("relation")
     consts = constants if constants is not None else potential_constants(n, k)
     P = build_P(n, k)
     Q = build_Q(n, k)
     cache_p = DerivativeCache(P)
     cache_q = DerivativeCache(Q)
-    col = FailureCollector()
     for I, J in sample_pairs(n, k, sample):
         lhs = LogRationalExpr.from_polynomial(_double_partial(cache_p, I, J) * (1 / consts.c1))
         S = _double_partial(cache_q, I, J)
@@ -290,10 +281,8 @@ def verify_relation(
             zm = Polynomial.variable(Var(m, 1))
             rhs = rhs + S.differentiate(Var(m, 1)).reduced() * zm
         rhs = (rhs * (1 / consts.c2)).reduced()
-        col.record(expr_equal(lhs, rhs), I=I, J=J)
-    return CheckReport(
-        "relation", col.passed, col.cases, col.first_failure, elapsed_s=time.perf_counter() - started
-    )
+        rep.record(expr_equal(lhs, rhs), I=I, J=J)
+    return rep
 
 
 def verify_corollary(
@@ -302,10 +291,9 @@ def verify_corollary(
     """The weighted Hamiltonian sum acts on every projected basis vector
     as the scalar -k(n-k+1)."""
     _require_sizes(n, k)
-    started = time.perf_counter()
+    rep = CheckReport("corollary")
     pts = list(points) if points is not None else deterministic_parameter_points(n)
     scalar = Fraction(-k * (n - k + 1))
-    col = FailureCollector()
     for u in pts:
         if u.n != n:
             raise ValueError(f"parameter point has {u.n} coordinates, expected {n}")
@@ -315,7 +303,5 @@ def verify_corollary(
             for m in range(1, n + 1):
                 term = hamiltonian_apply(m, u, v) * u.u(m)
                 acc = term if acc is None else acc + term
-            col.record(acc == scalar * v, I=I, point=u.values, expected_scalar=scalar)
-    return CheckReport(
-        "corollary", col.passed, col.cases, col.first_failure, elapsed_s=time.perf_counter() - started
-    )
+            rep.record(acc == scalar * v, I=I, point=u.values, expected_scalar=scalar)
+    return rep

@@ -67,15 +67,19 @@ def coefficients(n: int, k: int) -> ProjectionCoefficients:
         for l in range(k)
     )
     # Defining linear systems; cheap guards against a bad closed form.
+    def guard(ok: bool, what: str) -> None:
+        if not ok:
+            raise RuntimeError(f"closed-form tables violate {what} at n={n}, k={k}")
+
     for l in range(k):
-        assert (k - l) * a[l + 1] + (n - 2 * k + l + 1) * a[l] == 0
-    assert 1 + b[k - 1] * n + (b[k - 2] * (k - 1) * (n - k) if k >= 2 else 0) == 0
+        guard((k - l) * a[l + 1] + (n - 2 * k + l + 1) * a[l] == 0, f"the a-recursion at l={l}")
+    guard(1 + b[k - 1] * n + (b[k - 2] * (k - 1) * (n - k) if k >= 2 else 0) == 0, "the b boundary relation")
     for l in range(k - 1):
         three = b[l + 1] * (k - l) * (k - l - 1) + b[l] * (k - l) * (n - 2 * k + 2 * l + 2)
         if l >= 1:
             three += b[l - 1] * l * (n - 2 * k + l + 1)
-        assert three == 0
-    assert a[0] == k * b[0]
+        guard(three == 0, f"the three-term b-recursion at l={l}")
+    guard(a[0] == k * b[0], "a[0] = k*b[0]")
     return ProjectionCoefficients(n, k, a, b)
 
 

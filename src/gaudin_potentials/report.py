@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class CheckReport:
     """Outcome of one named check.
 
-    `first_failure` holds the first counterexample as a small dict of
-    printable values; `details` carries check-specific extras (for
-    example the computed locality constant).
+    A check counts its cases with `record`; `first_failure` holds the
+    first counterexample as a small dict of printable values, and the
+    check passes while there is none.  `details` carries check-specific
+    extras (for example the computed locality constant).  `elapsed_s` is
+    set by the runner that times the check.
     """
 
     name: str
-    passed: bool
-    cases_checked: int
+    cases_checked: int = 0
     first_failure: dict | None = None
     details: dict | None = None
     elapsed_s: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failure is None
+
+    def record(self, ok: bool, **context) -> None:
+        self.cases_checked += 1
+        if not ok and self.first_failure is None:
+            self.first_failure = {k: str(v) for k, v in context.items()}
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -32,20 +42,3 @@ class CheckReport:
             out["details"] = self.details
         out["elapsed_s"] = round(self.elapsed_s, 6)
         return out
-
-
-@dataclass
-class FailureCollector:
-    """Counts cases and remembers the first failing one."""
-
-    cases: int = 0
-    first_failure: dict | None = field(default=None)
-
-    def record(self, ok: bool, **context) -> None:
-        self.cases += 1
-        if not ok and self.first_failure is None:
-            self.first_failure = {k: str(v) for k, v in context.items()}
-
-    @property
-    def passed(self) -> bool:
-        return self.first_failure is None

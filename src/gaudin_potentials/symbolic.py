@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import re
 
@@ -527,7 +527,8 @@ def expr_equal(a: LogRationalExpr, b: LogRationalExpr) -> bool:
         cur = denominator
         for _ in range(m):
             cur, rem = divmod_linear(cur, L)
-            assert rem.is_zero
+            if not rem.is_zero:
+                raise RuntimeError(f"common denominator not divisible by {L}")
             quots.append(cur)
         partial[L] = quots
 
@@ -541,19 +542,26 @@ def expr_equal(a: LogRationalExpr, b: LogRationalExpr) -> bool:
     return cleared(a) == cleared(b)
 
 
+def level_assignments(elements: Iterable[int]) -> Iterator[tuple[Var, ...]]:
+    """Every assignment of levels 1..k to the indices of a k-subset, as
+    the variables (index, level) in level order, one per permutation of
+    the sorted indices."""
+    elems = tuple(sorted(elements))
+    if len(set(elems)) != len(elems):
+        raise ValueError("index set must consist of distinct elements")
+    for perm in permutations(elems):
+        yield tuple(Var(idx, level) for level, idx in enumerate(perm, start=1))
+
+
 def apply_partial_I(expr, elements: Iterable[int]):
     """The order-k operator summing mixed partials over all assignments
     of levels 1..k to the indices of a k-subset.
 
     Works on Polynomial and LogRationalExpr alike.
     """
-    elems = tuple(sorted(elements))
-    if len(set(elems)) != len(elems):
-        raise ValueError("index set must consist of distinct elements")
     memo: dict[tuple[Var, ...], object] = {(): expr}
     total = None
-    for perm in permutations(elems):
-        variables = tuple(Var(idx, level + 1) for level, idx in enumerate(perm))
+    for variables in level_assignments(elements):
         d = iterated_derivative(expr, variables, memo)
         total = d if total is None else total + d
     return total if total is not None else expr
@@ -599,8 +607,8 @@ class DerivativeCache:
 # Exchange format
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"^(-?\d+)/(\d+)\s*;\s*(.*)$")
-_FACTOR_RE = re.compile(r"^\((\d+),(\d+)\)\^(\d+)$")
+_TERM_RE = re.compile(r"^(-?\d+)/(\d+)\s*;\s*(.*)$", re.ASCII)
+_FACTOR_RE = re.compile(r"^\((\d+),(\d+)\)\^(\d+)$", re.ASCII)
 
 
 def _term_lines(p: Polynomial) -> list[str]:
@@ -633,19 +641,26 @@ def dumps_polynomial(p: Polynomial) -> str:
 
 
 def _parse_term(line: str) -> tuple[Monomial, Fraction]:
+    """One term line; only canonical monomials are accepted: index,
+    level and exponent at least 1, each variable at most once."""
     m = _TERM_RE.match(line)
     if not m:
         raise ValueError(f"malformed term line: {line!r}")
-    coeff = Fraction(int(m.group(1)), int(m.group(2)))
-    factors = []
-    rest = m.group(3).strip()
-    if rest:
-        for tok in rest.split():
-            fm = _FACTOR_RE.match(tok)
-            if not fm:
-                raise ValueError(f"malformed monomial factor: {tok!r}")
-            factors.append((Var(int(fm.group(1)), int(fm.group(2))), int(fm.group(3))))
-    return tuple(sorted(factors)), coeff
+    num, den = int(m.group(1)), int(m.group(2))
+    if den == 0:
+        raise ValueError(f"zero denominator in term line: {line!r}")
+    factors: dict[Var, int] = {}
+    for tok in m.group(3).split():
+        fm = _FACTOR_RE.match(tok)
+        if not fm:
+            raise ValueError(f"malformed monomial factor: {tok!r}")
+        i, j, e = (int(g) for g in fm.groups())
+        if min(i, j, e) < 1:
+            raise ValueError(f"index, level and exponent must be >= 1: {tok!r}")
+        if Var(i, j) in factors:
+            raise ValueError(f"variable repeated in term line: {line!r}")
+        factors[Var(i, j)] = e
+    return tuple(sorted(factors.items())), Fraction(num, den)
 
 
 def loads_expr(text: str) -> LogRationalExpr:
@@ -657,6 +672,8 @@ def loads_expr(text: str) -> LogRationalExpr:
 
     def open_section(header: str) -> Terms:
         fields = header.split()
+        if not all(f.isascii() and f.isdigit() for f in fields[1:]):
+            raise ValueError(f"section header fields must be decimal digits: {header!r}")
         if fields[0] == "POLY" and len(fields) == 1:
             return poly_terms
         if fields[0] == "LOG" and len(fields) == 3:

@@ -32,7 +32,7 @@ def test_locality_reports_k1_constant():
 
 def test_run_checks_exit_status_on_failure(monkeypatch):
     def failing(cfg):
-        return CheckReport("relations", False, 3, {"why": "injected"})
+        return CheckReport("relations", cases_checked=3, first_failure={"why": "injected"})
 
     reg = {"relations": failing}
     monkeypatch.setattr(checks_mod, "registry", lambda: reg)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import gaudin_potentials.checks as checks_mod
 from gaudin_potentials.cli import main
 from gaudin_potentials.potentials import build_Q
 from gaudin_potentials.symbolic import expr_equal, loads_expr
@@ -137,6 +138,22 @@ def test_verify_deterministic_reports(tmp_path, capsys):
     r1 = json.loads(f1.read_text())
     r2 = json.loads(f2.read_text())
     assert _strip_timings(r1) == _strip_timings(r2)
+
+
+def test_verify_reports_a_raising_check_and_keeps_the_others(tmp_path, monkeypatch):
+    def broken(n, k):
+        raise RuntimeError("oracle lowering coefficients not constant")
+
+    monkeypatch.setattr(checks_mod, "oracle_coefficients", broken)
+    with pytest.raises(RuntimeError):
+        checks_mod.check_shapovalov_oracle(4, 2)  # the library call still raises
+    out = tmp_path / "report.json"
+    args = ["verify", "--n", "4", "--k", "2", "--check", "relations", "--check", "shapovalov-oracle"]
+    assert main(args + ["--format", "json", "--out", str(out)]) == 1
+    relations, oracle = json.loads(out.read_text())["checks"]
+    assert (relations["name"], relations["status"], relations["first_failure"]) == ("relations", "pass", None)
+    assert (oracle["name"], oracle["status"], oracle["cases_checked"]) == ("shapovalov-oracle", "fail", 0)
+    assert oracle["first_failure"] == {"error": "RuntimeError: oracle lowering coefficients not constant"}
 
 
 def test_verify_text_format(capsys):

@@ -229,6 +229,24 @@ def test_loads_rejects_malformed():
         loads_expr("POLY\nnonsense\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "POLY\n1/0 ;\n",
+        "POLY\n1/1 ; (1,1)^0\n",
+        "POLY\n1/1 ; (0,1)^1\n",
+        "POLY\n1/1 ; (1,0)^1\n",
+        "POLY\n1/1 ; (1,1)^1 (1,1)^1\n",
+        "LOG +1 2\n1/1 ;\n",
+        "LOG 1_0 12\n1/1 ;\n",
+        "DEN 1 2 \u0663\n1/1 ;\n",
+    ],
+)
+def test_loads_rejects_non_canonical_input(text):
+    with pytest.raises(ValueError):
+        loads_expr(text)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
@@ -358,3 +376,34 @@ def test_degree_plus_one_divided_difference_vanishes(p, v):
         shifted[v] = point[v] + t
         total += Fraction((-1) ** t * comb(d + 1, t)) * p.evaluate(shifted)
     assert total == 0
+
+
+_FORMAT_CHARS = "0123456789-/;()^, \nPOLYGDEN"
+# Sections and term lines with small numbers, so zero denominators, zero
+# indices, levels and exponents, repeated variables and bad headers are common.
+_NEAR_VALID = st.from_regex(
+    r"((POLY|LOG [0-3] [0-3]|DEN [0-3] [0-3] [0-3])\n(-?[0-3]/[0-3] ;( \([0-3],[0-3]\)\^[0-3]){0,3}\n){0,3}){1,3}",
+    fullmatch=True,
+)
+
+
+@st.composite
+def mutated_exports(draw):
+    text = dumps_expr(draw(expressions()))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 3)))
+        text = text[:start] + draw(st.text(alphabet=_FORMAT_CHARS, max_size=3)) + text[stop:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=_FORMAT_CHARS), _NEAR_VALID, mutated_exports()))
+def test_loads_raises_only_value_error_and_accepted_text_round_trips(text):
+    try:
+        e = loads_expr(text)
+    except ValueError:
+        return
+    once = dumps_expr(e)
+    assert loads_expr(once) == e
+    assert dumps_expr(loads_expr(once)) == once
