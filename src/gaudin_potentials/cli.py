@@ -124,6 +124,8 @@ def _validate_sizes(parser: argparse.ArgumentParser, n: int, k: int) -> None:
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_sizes(parser, args.n, args.k)
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, got {args.points}")
     reg = registry()
     if "all" in args.check:
         selected = tuple(reg)

@@ -8,6 +8,7 @@ top of the deterministic pass, never replacing it.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ def primes(count: int) -> list[int]:
     while True:
         sieve = bytearray([1] * (bound + 1))
         sieve[0:2] = b"\x00\x00"
-        for p in range(2, int(bound**0.5) + 1):
+        for p in range(2, math.isqrt(bound) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
         found = [i for i, flag in enumerate(sieve) if flag]

@@ -280,8 +280,7 @@ def verify_relation(
         for m in range(1, n + 1):
             zm = Polynomial.variable(Var(m, 1))
             rhs = rhs + S.differentiate(Var(m, 1)).reduced() * zm
-        rhs = (rhs * (1 / consts.c2)).reduced()
-        rep.record(expr_equal(lhs, rhs), I=I, J=J)
+        rep.record(expr_equal(lhs, rhs * (1 / consts.c2)), I=I, J=J)
     return rep
 
 

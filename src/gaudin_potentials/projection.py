@@ -101,30 +101,10 @@ def project(x: WeightVector) -> WeightVector:
     return WeightVector(n, k, tuple(out))
 
 
-def invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination, pivoting on the first
-    nonzero entry of each column.  Raises RuntimeError when singular."""
-    d = len(rows)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(d)] for i, row in enumerate(rows)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col]), None)
-        if piv is None:
-            raise RuntimeError("singular matrix in exact elimination")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(d):
-            if r == col or not aug[r][col]:
-                continue
-            factor = aug[r][col]
-            aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
-
-
-def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by row echelon reduction."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
+def _gauss_jordan(work: list[list[Fraction]], ncols: int) -> int:
+    """Reduce the first `ncols` columns of `work` in place to reduced row
+    echelon form, pivoting on the first nonzero entry of each column.
+    Returns the rank."""
     rank = 0
     for col in range(ncols):
         piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
@@ -139,6 +119,21 @@ def matrix_rank(rows: list[list[Fraction]]) -> int:
                 work[r] = [v - factor * p for v, p in zip(work[r], work[rank])]
         rank += 1
     return rank
+
+
+def invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan elimination on [rows | I].  Raises
+    RuntimeError when singular."""
+    d = len(rows)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(d)] for i, row in enumerate(rows)]
+    if _gauss_jordan(aug, d) < d:
+        raise RuntimeError("singular matrix in exact elimination")
+    return [row[d:] for row in aug]
+
+
+def matrix_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over the rationals by row echelon reduction."""
+    return _gauss_jordan([list(r) for r in rows], len(rows[0]) if rows else 0)
 
 
 @lru_cache(maxsize=None)

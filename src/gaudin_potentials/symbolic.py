@@ -318,7 +318,8 @@ class LogRationalExpr:
     def __eq__(self, other) -> bool:
         """Structural equality (same normalized representation).
 
-        Use expr_equal for mathematical equality of rational parts.
+        Mathematically equal expressions can differ here, for example
+        L/L and 1; expr_equal compares their reduced forms instead.
         """
         return (
             isinstance(other, LogRationalExpr)
@@ -461,85 +462,42 @@ def divmod_linear(poly: Polynomial, L: LinearForm) -> tuple[Polynomial, Polynomi
     """Exact division of a polynomial by z_p - z_q.
 
     Returns (quotient, remainder); the remainder is free of z_p^(1) and
-    therefore not divisible by L unless it is zero.
+    therefore not divisible by L unless it is zero.  Each term is divided
+    on its own, by z_p^e z_q^f = z_q^(e+f) + L * sum_{i<e} z_p^i z_q^(e-1-i+f).
     """
     vp = Var(L.p, 1)
     vq = Var(L.q, 1)
-    by_exp: dict[int, dict[Monomial, Fraction]] = {}
+    quot: dict[Monomial, Fraction] = {}
+    rem: dict[Monomial, Fraction] = {}
     for mono, c in poly.terms.items():
-        e = 0
-        rest = mono
-        for pos, (var, exp) in enumerate(mono):
-            if var == vp:
-                e = exp
-                rest = mono[:pos] + mono[pos + 1 :]
-                break
-        bucket = by_exp.setdefault(e, {})
-        bucket[rest] = bucket.get(rest, ZERO) + c
-    if not by_exp:
-        return Polynomial.zero(), Polynomial.zero()
-    top = max(by_exp)
-    coeffs = {e: Polynomial(t) for e, t in by_exp.items()}
-    zq = Polynomial.variable(vq)
-    quot_parts: dict[int, Polynomial] = {}
-    carry = coeffs.get(top, Polynomial.zero())
-    for e in range(top, 0, -1):
-        quot_parts[e - 1] = carry
-        carry = coeffs.get(e - 1, Polynomial.zero()) + zq * carry
-    remainder = carry
-    quotient = Polynomial.zero()
-    for e, part in quot_parts.items():
-        if part.is_zero:
-            continue
-        if e == 0:
-            quotient = quotient + part
-        else:
-            quotient = quotient + part * Polynomial({((vp, e),): ONE})
-    return quotient, remainder
+        rest = dict(mono)
+        e = rest.pop(vp, 0)
+        f = rest.pop(vq, 0)
+        for i in range(e):
+            _accumulate(quot, {**rest, vp: i, vq: e - 1 - i + f}, c)
+        _accumulate(rem, {**rest, vq: e + f}, c)
+    return Polynomial(quot), Polynomial(rem)
+
+
+def _accumulate(terms: dict[Monomial, Fraction], powers: dict[Var, int], c: Fraction) -> None:
+    """Add c times the monomial with these powers (zero powers dropped)."""
+    mono = tuple(sorted((v, x) for v, x in powers.items() if x))
+    terms[mono] = terms.get(mono, ZERO) + c
 
 
 def expr_equal(a: LogRationalExpr, b: LogRationalExpr) -> bool:
-    """Mathematical equality within the class.
+    """Mathematical equality within the class: equal reduced forms.
 
-    Log coefficients are compared directly (logarithms of distinct linear
-    forms are independent over rational functions); the rational parts
-    are compared after clearing to the common denominator built from the
-    maximal power of each linear form present in either expression.
+    The reduced form is unique.  Logarithms of distinct linear forms are
+    independent over rational functions, so log coefficients must agree
+    exactly.  For the rational part, a reduced numerator at L = z_p - z_q
+    is free of z_p^(1).  Multiplying a vanishing difference by L^D, D the
+    top power of L, and restricting to z_p = z_q leaves the top numerator
+    unchanged and sends every other term to zero (no other linear form
+    vanishes there), so that numerator is zero; descending on D, so are
+    all of them, and then the free polynomial too.
     """
-    for L in set(a.logs) | set(b.logs):
-        if a.logs.get(L, Polynomial.zero()) != b.logs.get(L, Polynomial.zero()):
-            return False
-    max_pow: dict[LinearForm, int] = {}
-    for e in (a, b):
-        for L, by_pow in e.dens.items():
-            max_pow[L] = max(max_pow.get(L, 0), max(by_pow))
-    if not max_pow:
-        return a.poly == b.poly
-    denominator = Polynomial.constant(1)
-    for L, m in sorted(max_pow.items()):
-        lp = L.as_polynomial()
-        for _ in range(m):
-            denominator = denominator * lp
-    # denominator / L^d, computed once per (L, d) by exact division
-    partial: dict[LinearForm, list[Polynomial]] = {}
-    for L, m in max_pow.items():
-        quots = []
-        cur = denominator
-        for _ in range(m):
-            cur, rem = divmod_linear(cur, L)
-            if not rem.is_zero:
-                raise RuntimeError(f"common denominator not divisible by {L}")
-            quots.append(cur)
-        partial[L] = quots
-
-    def cleared(e: LogRationalExpr) -> Polynomial:
-        total = e.poly * denominator
-        for L, by_pow in e.dens.items():
-            for d, num in by_pow.items():
-                total = total + num * partial[L][d - 1]
-        return total
-
-    return cleared(a) == cleared(b)
+    return a.reduced() == b.reduced()
 
 
 def level_assignments(elements: Iterable[int]) -> Iterator[tuple[Var, ...]]:

@@ -5,7 +5,8 @@ lowered factors.  A basis of the weight-(n-2k) space is labeled by the
 k-element subsets of {1, ..., n}; subsets are stored as bitmasks and
 enumerated in colexicographic order (which coincides with increasing mask
 value).  All coefficients are exact rationals (`fractions.Fraction`);
-nothing in this package ever touches floating point.
+nothing in this package computes in floating point (only the runner's
+wall-clock timings are floats).
 """
 
 from __future__ import annotations

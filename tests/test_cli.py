@@ -121,6 +121,12 @@ def test_verify_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "80", "--k", "1"])
     assert exc.value.code == 2
+    # a seeded run that would check no seeded point is refused
+    for points in ("-5", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "4", "--k", "2", "--seed", "3", "--points", points])
+        assert exc.value.code == 2
+        assert "--points must be at least 1" in capsys.readouterr().err
 
 
 def _strip_timings(report):

@@ -294,8 +294,15 @@ def test_differentiation_is_linear(a, b, v):
 
 
 @settings(max_examples=60, deadline=None)
-@given(expressions(), expressions(), _forms)
-def test_expr_equal_is_congruence(a, c, L):
+@given(
+    expressions(),
+    expressions(),
+    _forms,
+    st.integers(2, 3),
+    polynomials(max_terms=2),
+    _fractions.filter(bool),
+)
+def test_expr_equal_is_congruence(a, c, L, d, N, const):
     # disguise a without changing its value: add L/L - 1
     b = a + LogRationalExpr.den_term(L, 1, L.as_polynomial()) + LogRationalExpr.constant(-1)
     assert b != a  # structurally different
@@ -305,6 +312,21 @@ def test_expr_equal_is_congruence(a, c, L):
     for v in (Var(1, 1), Var(2, 1)):
         assert expr_equal(a.differentiate(v), b.differentiate(v))
     assert expr_equal(a, a)
+    # the same disguise at a power d >= 2: N L / L^(d+1) - N / L^d
+    b2 = a + LogRationalExpr.den_term(L, d + 1, N * L.as_polynomial()) - LogRationalExpr.den_term(L, d, N)
+    assert expr_equal(a, b2)
+    assert expr_equal(b2, a)
+    # a nonzero pole term changes the value
+    bumped = a + LogRationalExpr.den_term(L, d, Polynomial.constant(const))
+    assert not expr_equal(a, bumped)
+    assert not expr_equal(b2, bumped)
+
+
+# two points with distinct level-1 coordinates, so no pole is hit
+_EVAL_POINTS = [
+    {X1: Fraction(1, 2), X2: Fraction(-3), X3: Fraction(7, 3), Var(1, 2): Fraction(5), Var(2, 2): Fraction(-2, 7)},
+    {X1: Fraction(-4, 5), X2: Fraction(2), X3: Fraction(11), Var(1, 2): Fraction(-1, 3), Var(2, 2): Fraction(9, 2)},
+]
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,7 +334,22 @@ def test_expr_equal_is_congruence(a, c, L):
 def test_reduced_preserves_value_and_roundtrip(e):
     r = e.reduced()
     assert expr_equal(e, r)
+    # an exact check that does not go through reduced(): the logs are
+    # untouched and the log-free parts agree in value
+    assert r.logs == e.logs
+    for point in _EVAL_POINTS:
+        assert LogRationalExpr(poly=r.poly, dens=r.dens).evaluate(point) == LogRationalExpr(
+            poly=e.poly, dens=e.dens
+        ).evaluate(point)
     assert loads_expr(dumps_expr(e)) == e
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials(max_terms=4, max_exp=3), _forms)
+def test_divmod_linear_identity(p, L):
+    quot, rem = divmod_linear(p, L)
+    assert quot * L.as_polynomial() + rem == p
+    assert all(v != Var(L.p, 1) for mono in rem.terms for v, _ in mono)
 
 
 def _univariate_derivative_oracle(p, v, point):
