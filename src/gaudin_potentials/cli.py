@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .checks import registry
@@ -124,8 +125,11 @@ def _validate_sizes(parser: argparse.ArgumentParser, n: int, k: int) -> None:
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_sizes(parser, args.n, args.k)
-    if args.points < 1:
-        parser.error(f"--points must be at least 1, got {args.points}")
+    if args.points is not None:
+        if args.seed is None:
+            parser.error("--points needs --seed: it counts the seeded points")
+        if args.points < 1:
+            parser.error(f"--points must be at least 1, got {args.points}")
     reg = registry()
     if "all" in args.check:
         selected = tuple(reg)
@@ -140,7 +144,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         k=args.k,
         checks=selected,
         seed=args.seed,
-        points=args.points,
+        points=DEFAULT_POINT_COUNT if args.points is None else args.points,
     )
     status, report = run_checks(config)
     if args.format == "json":
@@ -209,25 +213,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--points",
         type=int,
-        default=DEFAULT_POINT_COUNT,
-        help="number of extra random points added when --seed is given",
+        default=None,
+        help=f"number of extra random points added by --seed (default {DEFAULT_POINT_COUNT})",
     )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="write the report to this file")
-    p_verify.set_defaults(func=cmd_verify)
+    # each handler gets its own subparser, whose usage line its errors print
+    p_verify.set_defaults(func=partial(cmd_verify, p_verify))
 
     p_tables = sub.add_parser("tables", help="print the exact projection coefficient tables")
     p_tables.add_argument("--n", type=int, required=True)
     p_tables.add_argument("--k", type=int, required=True)
     p_tables.add_argument("--out", default=None)
-    p_tables.set_defaults(func=cmd_tables)
+    p_tables.set_defaults(func=partial(cmd_tables, p_tables))
 
     p_pot = sub.add_parser("potential", help="export a potential in the exchange format")
     p_pot.add_argument("--n", type=int, required=True)
     p_pot.add_argument("--k", type=int, required=True)
     p_pot.add_argument("--kind", choices=("P", "Q"), required=True)
     p_pot.add_argument("--out", default=None, help="output file (stdout if omitted)")
-    p_pot.set_defaults(func=cmd_potential)
+    p_pot.set_defaults(func=partial(cmd_potential, p_pot))
 
     p_pair = sub.add_parser("pair", help="print an exact pairing value or pairing function")
     p_pair.add_argument("--n", type=int, required=True)
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--J", required=True, help="comma-separated k-subset")
     p_pair.add_argument("--m", type=int, default=None, help="Hamiltonian index; omit for the plain pairing")
     p_pair.add_argument("--out", default=None)
-    p_pair.set_defaults(func=cmd_pair)
+    p_pair.set_defaults(func=partial(cmd_pair, p_pair))
     return parser
 
 
@@ -245,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.check is None:
         args.check = ["all"]
-    return args.func(parser, args)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,19 @@ def test_potential_Q_roundtrip(tmp_path, capsys):
     assert out2.read_bytes() == out_file.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "kind,sha256",
+    [
+        ("P", "9fc2fd563420fe8d94538296f729de63e85d3c707956c19c3a87929723358f12"),
+        ("Q", "855d9594b3cca9ea76b6ac55e922e18c4496f17927d6f1594370c11532189182"),
+    ],
+)
+def test_potential_export_bytes_pinned_6_3(kind, sha256, capsys):
+    code, out = run_cli(["potential", "--n", "6", "--k", "3", "--kind", kind], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
 def test_verify_json_all_pass(capsys):
     code, out = run_cli(["verify", "--n", "4", "--k", "2", "--format", "json"], capsys)
     assert code == 0
@@ -121,12 +135,19 @@ def test_verify_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "80", "--k", "1"])
     assert exc.value.code == 2
-    # a seeded run that would check no seeded point is refused
-    for points in ("-5", "0"):
+    # a seeded run that would check no seeded point is refused, and so is
+    # --points without --seed; the error shows the subcommand's usage line
+    for extra, message in [
+        (["--seed", "3", "--points", "-5"], "--points must be at least 1"),
+        (["--seed", "3", "--points", "0"], "--points must be at least 1"),
+        (["--check", "theorem1", "--points", "5"], "--points needs --seed"),
+    ]:
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "4", "--k", "2", "--seed", "3", "--points", points])
+            main(["verify", "--n", "4", "--k", "2", *extra])
         assert exc.value.code == 2
-        assert "--points must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gaudin-potentials verify")
+        assert message in err
 
 
 def _strip_timings(report):

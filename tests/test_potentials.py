@@ -75,6 +75,34 @@ def test_potential_constants():
         potential_constants(4, 0)
 
 
+def _oracle_potentials(n, k):
+    """The product route: each pair sequence's squared differences are
+    multiplied out as Polynomials and summed, times c1 (P) or times c2
+    under the log of the first pair (Q)."""
+    consts = potential_constants(n, k)
+    P = Polynomial.zero()
+    logs = {}
+    for alpha in enumerate_alpha(n, k):
+        prod = Polynomial.constant(1)
+        for level, (p, q) in enumerate(alpha, start=1):
+            d = Polynomial.difference(p, q, level)
+            prod = prod * (d * d)
+        P = P + prod
+        L = LinearForm(*alpha[0])
+        logs[L] = logs.get(L, Polynomial.zero()) + prod
+    return P * consts.c1, LogRationalExpr(logs={L: g * consts.c2 for L, g in logs.items()})
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 8) for k in range(1, n // 2 + 1)])
+def test_build_matches_product_oracle(n, k):
+    P_oracle, Q_oracle = _oracle_potentials(n, k)
+    P, Q = build_P(n, k), build_Q(n, k)
+    assert P == P_oracle
+    assert Q == Q_oracle
+    coefficients = list(P.terms.values()) + [c for g in Q.logs.values() for c in g.terms.values()]
+    assert coefficients and all(type(c) is Fraction for c in coefficients)
+
+
 def test_build_P_2_1():
     P = build_P(2, 1)
     L = Polynomial.difference(1, 2, 1)
