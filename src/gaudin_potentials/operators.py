@@ -14,14 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .projection import coefficients
 from .weight_space import (
+    ONE,
     ZERO,
     SubsetIndex,
     WeightVector,
+    _from_numerators,
     _mask_rank,
+    _numerators,
     basis_vector,
     subset_masks,
     subsets,
@@ -36,6 +40,8 @@ class ParameterPoint:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, (int, Fraction)) for v in self.values):
+            raise TypeError("parameter coordinates must be exact rationals (int or Fraction)")
         if len(set(self.values)) != len(self.values):
             raise ValueError("parameter coordinates must be pairwise distinct")
 
@@ -49,6 +55,18 @@ class ParameterPoint:
 
     def u(self, m: int) -> Fraction:
         return self.values[m - 1]
+
+    @cached_property
+    def _pole_weights(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Entry m - 1 holds integers W (indexed by j - 1, with W[m - 1] = 0)
+        and D such that 1/(u_m - u_j) = W[j - 1] / D for every j != m."""
+        rows = []
+        for i, ui in enumerate(self.values):
+            weights, den = _numerators(
+                [ZERO if j == i else ONE / (ui - uj) for j, uj in enumerate(self.values)]
+            )
+            rows.append((tuple(weights), den))
+        return tuple(rows)
 
 
 def casimir_apply(x: WeightVector, m: int, j: int, reduced: bool = True) -> WeightVector:
@@ -85,39 +103,40 @@ def hamiltonian_apply(
     """Apply the m-th (reduced) Gaudin Hamiltonian at the point u.
 
     Equals the sum over j != m of casimir_apply(x, m, j, reduced) divided
-    by u_m - u_j; the loop is fused so sparse inputs stay cheap.
+    by u_m - u_j.  The loop is fused and visits only the nonzero entries
+    of x: for V_I, the Casimir in factors m, j acts only when exactly one
+    of them lies in I, i.e. j outside I when m is in I, j in I otherwise.
     """
     n = x.n
     if u.n != n:
         raise ValueError(f"parameter point has {u.n} coordinates, expected {n}")
     if not 1 <= m <= n:
         raise ValueError(f"Hamiltonian index {m} outside 1..{n}")
+    weights, den = u._pole_weights[m - 1]
+    nums, x_den = _numerators(x.coeffs)
+    # unreduced: the extra (1/2) * sum_j W_j / D * x goes over the denominator 2D
+    scale = 1 if reduced else 2
+    shift = 0 if reduced else sum(weights)
     masks = subset_masks(n, x.k)
     rank = _mask_rank(n, x.k)
-    out = [ZERO] * len(masks)
-    um = u.u(m)
+    out = [0] * len(masks)
     bit_m = 1 << (m - 1)
-    half = Fraction(1, 2)
-    for j in range(1, n + 1):
-        if j == m:
+    full = (1 << n) - 1
+    for idx, c in enumerate(nums):
+        if not c:
             continue
-        weight = 1 / (um - u.u(j))
-        pair = bit_m | (1 << (j - 1))
-        for idx, c in enumerate(x.coeffs):
-            if not c:
-                continue
-            mask = masks[idx]
-            hit = mask & pair
-            if hit and hit != pair:
-                cw = c * weight
-                out[rank[mask ^ pair]] += cw
-                out[idx] -= cw
-        if not reduced:
-            hw = half * weight
-            for idx, c in enumerate(x.coeffs):
-                if c:
-                    out[idx] += hw * c
-    return WeightVector(n, x.k, tuple(out))
+        mask = masks[idx]
+        partners = full & ~mask if mask & bit_m else mask
+        sc = scale * c
+        diag = c * shift
+        while partners:
+            low = partners & -partners
+            cw = sc * weights[low.bit_length() - 1]
+            out[rank[mask ^ bit_m ^ low]] += cw
+            diag -= cw
+            partners ^= low
+        out[idx] += diag
+    return _from_numerators(n, x.k, out, scale * den * x_den)
 
 
 class HamiltonianTerm(NamedTuple):

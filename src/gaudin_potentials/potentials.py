@@ -113,25 +113,33 @@ def _square_sums(n: int, k: int) -> dict[LinearForm, dict[Monomial, int]]:
     return by_form
 
 
+def _first_kind(sums: dict[LinearForm, dict[Monomial, int]], c1: Fraction) -> Polynomial:
+    """P from the per-form sums of `_square_sums`: merged, scaled by c1."""
+    total: dict[Monomial, int] = {}
+    for form_sums in sums.values():
+        for mono, c in form_sums.items():
+            total[mono] = total.get(mono, 0) + c
+    return Polynomial({mono: c1 * c for mono, c in total.items()})
+
+
+def _second_kind(sums: dict[LinearForm, dict[Monomial, int]], c2: Fraction) -> LogRationalExpr:
+    """Q from the per-form sums of `_square_sums`: each scaled by c2 under its log."""
+    return LogRationalExpr(logs={
+        L: Polynomial({mono: c2 * c for mono, c in form_sums.items()})
+        for L, form_sums in sums.items()
+    })
+
+
 def build_P(n: int, k: int) -> Polynomial:
     """Potential of the first kind: homogeneous of degree 2k, expanded."""
     _require_sizes(n, k)
-    c1 = potential_constants(n, k).c1
-    total: dict[Monomial, int] = {}
-    for sums in _square_sums(n, k).values():
-        for mono, c in sums.items():
-            total[mono] = total.get(mono, 0) + c
-    return Polynomial({mono: c1 * c for mono, c in total.items()})
+    return _first_kind(_square_sums(n, k), potential_constants(n, k).c1)
 
 
 def build_Q(n: int, k: int) -> LogRationalExpr:
     """Potential of the second kind: a pure log-polynomial."""
     _require_sizes(n, k)
-    c2 = potential_constants(n, k).c2
-    return LogRationalExpr(logs={
-        L: Polynomial({mono: c2 * c for mono, c in sums.items()})
-        for L, sums in _square_sums(n, k).items()
-    })
+    return _second_kind(_square_sums(n, k), potential_constants(n, k).c2)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +288,12 @@ def verify_relation(
     (1/c1) * D_I D_J P equals (1/c2) * sum_m z_m * d/dz_m D_I D_J Q."""
     _require_sizes(n, k)
     rep = CheckReport("relation")
-    consts = constants if constants is not None else potential_constants(n, k)
-    P = build_P(n, k)
-    Q = build_Q(n, k)
+    true_consts = potential_constants(n, k)
+    consts = constants if constants is not None else true_consts
+    # one accumulation gives both potentials
+    sums = _square_sums(n, k)
+    P = _first_kind(sums, true_consts.c1)
+    Q = _second_kind(sums, true_consts.c2)
     cache_p = DerivativeCache(P)
     cache_q = DerivativeCache(Q)
     for I, J in sample_pairs(n, k, sample):

@@ -21,7 +21,9 @@ from .weight_space import (
     ZERO,
     SubsetIndex,
     WeightVector,
+    _from_numerators,
     _mask_rank,
+    _numerators,
     apply_f,
     basis_vector,
     shapovalov,
@@ -89,16 +91,17 @@ def project(x: WeightVector) -> WeightVector:
     if k == 0:
         return x  # every weight-n vector is singular
     _require_projectable(n, k)
-    a = coefficients(n, k).a
+    a, a_den = _numerators(coefficients(n, k).a)  # a_den divides (n-k+1)!
+    nums, den = _numerators(x.coeffs)
     masks = subset_masks(n, k)
-    out = [ZERO] * len(masks)
-    for i, c in enumerate(x.coeffs):
+    out = [0] * len(masks)
+    for mi, c in zip(masks, nums):
         if not c:
             continue
-        mi = masks[i]
+        row = [c * v for v in a]
         for j, mj in enumerate(masks):
-            out[j] += c * a[(mi & mj).bit_count()]
-    return WeightVector(n, k, tuple(out))
+            out[j] += row[(mi & mj).bit_count()]
+    return _from_numerators(n, k, out, den * a_den)
 
 
 def _gauss_jordan(work: list[list[Fraction]], ncols: int) -> int:

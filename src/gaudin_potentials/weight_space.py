@@ -6,7 +6,10 @@ k-element subsets of {1, ..., n}; subsets are stored as bitmasks and
 enumerated in colexicographic order (which coincides with increasing mask
 value).  All coefficients are exact rationals (`fractions.Fraction`);
 nothing in this package computes in floating point (only the runner's
-wall-clock timings are floats).
+wall-clock timings are floats).  The vector kernels here and in
+`projection` and `operators` compute on integer numerators over one
+common denominator (`_numerators`, `_from_numerators`), so a `Fraction`
+is built once per output coefficient.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Iterable
 
 MAX_N = 64
@@ -189,10 +192,26 @@ def basis_vector(n: int, subset) -> WeightVector:
     return WeightVector(n, ix.size, tuple(coeffs))
 
 
+def _numerators(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of `coeffs` over the lcm of their denominators."""
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = lcm(*{d for _, d in ratios})
+    if den == 1:
+        return [p for p, _ in ratios], 1
+    return [p * (den // d) for p, d in ratios], den
+
+
+def _from_numerators(n: int, k: int, nums: list[int], den: int) -> WeightVector:
+    """The weight vector with coefficients nums[i] / den, as Fractions."""
+    return WeightVector(n, k, tuple(Fraction(v, den) if v else ZERO for v in nums))
+
+
 def shapovalov(x: WeightVector, y: WeightVector) -> Fraction:
     """The bilinear form making the tensor basis orthonormal: sum of x_I * y_I."""
     x._require_same_space(y)
-    return sum((a * b for a, b in zip(x.coeffs, y.coeffs)), ZERO)
+    xs, xd = _numerators(x.coeffs)
+    ys, yd = _numerators(y.coeffs)
+    return Fraction(sum(a * b for a, b in zip(xs, ys) if a), xd * yd)
 
 
 def apply_e(x: WeightVector) -> WeightVector:
@@ -203,8 +222,9 @@ def apply_e(x: WeightVector) -> WeightVector:
         return zero_vector(n, k - 1)
     rank = _mask_rank(n, k - 1)
     masks = subset_masks(n, k)
-    out = [ZERO] * dim
-    for mask, c in zip(masks, x.coeffs):
+    nums, den = _numerators(x.coeffs)
+    out = [0] * dim
+    for mask, c in zip(masks, nums):
         if not c:
             continue
         m = mask
@@ -212,7 +232,7 @@ def apply_e(x: WeightVector) -> WeightVector:
             low = m & -m
             out[rank[mask ^ low]] += c
             m ^= low
-    return WeightVector(n, k - 1, tuple(out))
+    return _from_numerators(n, k - 1, out, den)
 
 
 def apply_f(x: WeightVector) -> WeightVector:
@@ -223,9 +243,10 @@ def apply_f(x: WeightVector) -> WeightVector:
         return zero_vector(n, k + 1)
     rank = _mask_rank(n, k + 1)
     masks = subset_masks(n, k)
-    out = [ZERO] * dim
+    nums, den = _numerators(x.coeffs)
+    out = [0] * dim
     full = (1 << n) - 1
-    for mask, c in zip(masks, x.coeffs):
+    for mask, c in zip(masks, nums):
         if not c:
             continue
         m = full & ~mask
@@ -233,7 +254,7 @@ def apply_f(x: WeightVector) -> WeightVector:
             low = m & -m
             out[rank[mask | low]] += c
             m ^= low
-    return WeightVector(n, k + 1, tuple(out))
+    return _from_numerators(n, k + 1, out, den)
 
 
 def apply_h(x: WeightVector) -> WeightVector:

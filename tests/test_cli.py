@@ -45,12 +45,17 @@ def test_pair_values(capsys):
 
 
 def test_pair_malformed_subset_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["pair", "--n", "4", "--k", "2", "--I", "1,zap", "--J", "3,4"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["pair", "--n", "4", "--k", "2", "--I", "1", "--J", "3,4"])
-    assert exc.value.code == 2
+    for I, J in [
+        ("1,zap", "3,4"),
+        ("1", "3,4"),
+        # a repeated element is refused, not merged into a smaller subset
+        ("1,1,2", "3,4"),
+        ("1,2", "3,3,4"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(["pair", "--n", "4", "--k", "2", "--I", I, "--J", J])
+        assert exc.value.code == 2, (I, J)
+        assert capsys.readouterr().err.startswith("usage: gaudin-potentials pair"), (I, J)
 
 
 def test_potential_P_golden_bytes(tmp_path, capsys):

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import dense_vectors, fractions
 
 from gaudin_potentials.operators import (
     PairingFunction,
@@ -20,6 +23,7 @@ from gaudin_potentials.weight_space import (
     is_singular,
     shapovalov,
     subsets,
+    zero_vector,
 )
 
 
@@ -27,6 +31,12 @@ def test_parameter_point_validation():
     ParameterPoint.of([0, 1, 2])
     with pytest.raises(ValueError):
         ParameterPoint.of([0, 1, 0])
+    # a float coordinate would turn the exact kernels inexact
+    with pytest.raises(TypeError):
+        ParameterPoint((Fraction(1, 2), 1.5))
+    # int coordinates are exact: 1/(u_1 - u_j) = -1, -1/3
+    out = hamiltonian_apply(1, ParameterPoint((0, 1, 3)), basis_vector(3, [1]))
+    assert out.coeffs == (Fraction(4, 3), Fraction(-1), Fraction(-1, 3))
 
 
 def test_casimir_examples():
@@ -170,3 +180,20 @@ def test_equivariance_small():
         for m in (1, 4):
             assert apply_e(hamiltonian_apply(m, u, x)) == hamiltonian_apply(m, u, apply_e(x))
             assert project(hamiltonian_apply(m, u, x)) == hamiltonian_apply(m, u, project(x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_vectors(), st.data())
+def test_hamiltonian_apply_matches_casimir_oracle_on_dense_vectors(x, data):
+    # oracle: sum over j != m of casimir_apply(x, m, j, reduced) / (u_m - u_j)
+    n = x.n
+    u = ParameterPoint(tuple(data.draw(st.lists(fractions, min_size=n, max_size=n, unique=True))))
+    m = data.draw(st.integers(1, n))
+    for reduced in (True, False):
+        expected = zero_vector(n, x.k)
+        for j in range(1, n + 1):
+            if j != m:
+                expected = expected + casimir_apply(x, m, j, reduced) * (1 / (u.u(m) - u.u(j)))
+        got = hamiltonian_apply(m, u, x, reduced)
+        assert got == expected
+        assert all(type(c) is Fraction for c in got.coeffs)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from strategies import dense_vectors
 
 from gaudin_potentials.checks import locality_constant, oracle_coefficients
 from gaudin_potentials.projection import (
@@ -199,3 +201,11 @@ def test_locality_scalar_multiple_holds():
         for k in range(1, min(3, n // 2) + 1):
             c = locality_constant(n, k)  # raises if not an exact multiple
             assert c != 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_vectors(min_k=1))
+def test_project_matches_oracle_on_dense_vectors(x):
+    got = project(x)
+    assert got == project_oracle(x)
+    assert all(type(c) is Fraction for c in got.coeffs)

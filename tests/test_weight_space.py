@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import dense_vectors
 
 from gaudin_potentials.projection import matrix_rank
 from gaudin_potentials.weight_space import (
@@ -148,3 +151,29 @@ def test_singular_dimension_by_kernel_rank():
                 mat.append(row)
             rank = matrix_rank(mat)
             assert len(cols) - rank == weight_dim(n, k) - weight_dim(n, k - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_vectors(), st.data())
+def test_shapovalov_matches_fraction_sum(x, data):
+    y = data.draw(dense_vectors(n=x.n, k=x.k))
+    got = shapovalov(x, y)
+    assert got == sum((a * b for a, b in zip(x.coeffs, y.coeffs)), Fraction(0))
+    assert type(got) is Fraction
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_vectors())
+def test_ladder_operators_match_basis_definition(x):
+    # e V_I = sum of V_{I minus i} over i in I; f V_I = sum of V_{I plus j} over j not in I
+    n, k = x.n, x.k
+    e_expected, f_expected = zero_vector(n, k - 1), zero_vector(n, k + 1)
+    for I, c in zip(subsets(n, k), x.coeffs):
+        for i in range(1, n + 1):
+            if I.contains(i):
+                e_expected = e_expected + basis_vector(n, I.without_element(i)) * c
+            else:
+                f_expected = f_expected + basis_vector(n, I.with_element(i)) * c
+    for got, expected in ((apply_e(x), e_expected), (apply_f(x), f_expected)):
+        assert got == expected
+        assert all(type(c) is Fraction for c in got.coeffs)
