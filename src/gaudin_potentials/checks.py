@@ -181,46 +181,35 @@ def check_hamiltonian_properties(
     pts = list(points) if points is not None else deterministic_parameter_points(n)
     basis = [basis_vector(n, I) for I in subsets(n, k)]
     for u in pts:
-        matrices = {m: hamiltonian_matrix(m, u, n, k) for m in range(1, n + 1)}
+        columns = {m: hamiltonian_matrix(m, u, n, k) for m in range(1, n + 1)}
         for m in range(1, n + 1):
-            mat = matrices[m]
+            mat = [col.coeffs for col in columns[m]]  # mat[c][r]: row r of column c
             dim = len(mat)
-            symmetric = all(mat[r][c] == mat[c][r] for r in range(dim) for c in range(r + 1, dim))
+            symmetric = all(mat[c][r] == mat[r][c] for r in range(dim) for c in range(r + 1, dim))
             rep.record(symmetric, what="symmetry", m=m, point=u.values)
         for m in range(1, n + 1):
             for j in range(m + 1, n + 1):
                 ok = all(
-                    hamiltonian_apply(m, u, hamiltonian_apply(j, u, x))
-                    == hamiltonian_apply(j, u, hamiltonian_apply(m, u, x))
-                    for x in basis
+                    hamiltonian_apply(m, u, hj_x) == hamiltonian_apply(j, u, hm_x)
+                    for hm_x, hj_x in zip(columns[m], columns[j])
                 )
                 rep.record(ok, what="commutativity", m=m, j=j, point=u.values)
         for m in range(1, n + 1):
-            ok_e = all(
-                apply_e(hamiltonian_apply(m, u, x)) == hamiltonian_apply(m, u, apply_e(x))
-                for x in basis
-            )
-            ok_f = all(
-                apply_f(hamiltonian_apply(m, u, x)) == hamiltonian_apply(m, u, apply_f(x))
-                for x in basis
-            )
-            ok_h = all(
-                apply_h(hamiltonian_apply(m, u, x)) == hamiltonian_apply(m, u, apply_h(x))
-                for x in basis
-            )
+            pairs = list(zip(columns[m], basis))
+            ok_e = all(apply_e(hx) == hamiltonian_apply(m, u, apply_e(x)) for hx, x in pairs)
+            ok_f = all(apply_f(hx) == hamiltonian_apply(m, u, apply_f(x)) for hx, x in pairs)
+            ok_h = all(apply_h(hx) == hamiltonian_apply(m, u, apply_h(x)) for hx, x in pairs)
             rep.record(ok_e and ok_f and ok_h, what="sl2 equivariance", m=m, point=u.values)
         for m in range(1, n + 1):
             ok = all(
-                project(hamiltonian_apply(m, u, x)) == hamiltonian_apply(m, u, project(x))
-                for x in basis
+                project(hx) == hamiltonian_apply(m, u, project(x))
+                for hx, x in zip(columns[m], basis)
             )
             rep.record(ok, what="projector commutation", m=m, point=u.values)
         for m in range(1, n + 1):
-            for I in subsets(n, k):
+            for I, hx in zip(subsets(n, k), columns[m]):
                 terms = hamiltonian_basis_action(m, I)
-                ok = evaluate_basis_action(terms, u, n, k) == hamiltonian_apply(
-                    m, u, basis_vector(n, I)
-                )
+                ok = evaluate_basis_action(terms, u, n, k) == hx
                 rep.record(ok, what="basis action vs direct application", m=m, I=I)
         # pairing function against the full operator route, on a few vectors
         for m in (1, n):

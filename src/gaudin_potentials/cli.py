@@ -105,8 +105,6 @@ def _parse_subset_arg(parser: argparse.ArgumentParser, n: int, k: int, raw: str,
         elements = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"--{name} must be a comma-separated list of integers, got {raw!r}")
-    if len(set(elements)) != len(elements):
-        parser.error(f"--{name} repeats an element: {raw!r}")
     try:
         ix = SubsetIndex.of(n, elements)
     except ValueError as exc:

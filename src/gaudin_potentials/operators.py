@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 from .projection import coefficients
@@ -23,10 +24,9 @@ from .weight_space import (
     ZERO,
     SubsetIndex,
     WeightVector,
-    _from_numerators,
     _mask_rank,
-    _numerators,
     basis_vector,
+    rational,
     subset_masks,
     subsets,
     zero_vector,
@@ -47,7 +47,7 @@ class ParameterPoint:
 
     @classmethod
     def of(cls, values) -> "ParameterPoint":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(tuple(rational(v) for v in values))
 
     @property
     def n(self) -> int:
@@ -62,10 +62,9 @@ class ParameterPoint:
         and D such that 1/(u_m - u_j) = W[j - 1] / D for every j != m."""
         rows = []
         for i, ui in enumerate(self.values):
-            weights, den = _numerators(
-                [ZERO if j == i else ONE / (ui - uj) for j, uj in enumerate(self.values)]
-            )
-            rows.append((tuple(weights), den))
+            inv = [ZERO if j == i else ONE / (ui - uj) for j, uj in enumerate(self.values)]
+            den = lcm(*(w.denominator for w in inv))
+            rows.append((tuple(w.numerator * (den // w.denominator) for w in inv), den))
         return tuple(rows)
 
 
@@ -82,8 +81,9 @@ def casimir_apply(x: WeightVector, m: int, j: int, reduced: bool = True) -> Weig
     masks = subset_masks(n, x.k)
     rank = _mask_rank(n, x.k)
     pair = (1 << (m - 1)) | (1 << (j - 1))
+    coeffs = x.coeffs
     out = [ZERO] * len(masks)
-    for idx, c in enumerate(x.coeffs):
+    for idx, c in enumerate(coeffs):
         if not c:
             continue
         mask = masks[idx]
@@ -92,9 +92,8 @@ def casimir_apply(x: WeightVector, m: int, j: int, reduced: bool = True) -> Weig
             out[rank[mask ^ pair]] += c
             out[idx] -= c
     if not reduced:
-        half = Fraction(1, 2)
-        out = [v + half * c for v, c in zip(out, x.coeffs)]
-    return WeightVector(n, x.k, tuple(out))
+        out = [v + c / 2 for v, c in zip(out, coeffs)]
+    return WeightVector.of(n, x.k, out)
 
 
 def hamiltonian_apply(
@@ -113,7 +112,6 @@ def hamiltonian_apply(
     if not 1 <= m <= n:
         raise ValueError(f"Hamiltonian index {m} outside 1..{n}")
     weights, den = u._pole_weights[m - 1]
-    nums, x_den = _numerators(x.coeffs)
     # unreduced: the extra (1/2) * sum_j W_j / D * x goes over the denominator 2D
     scale = 1 if reduced else 2
     shift = 0 if reduced else sum(weights)
@@ -122,7 +120,7 @@ def hamiltonian_apply(
     out = [0] * len(masks)
     bit_m = 1 << (m - 1)
     full = (1 << n) - 1
-    for idx, c in enumerate(nums):
+    for idx, c in enumerate(x.nums):
         if not c:
             continue
         mask = masks[idx]
@@ -136,7 +134,7 @@ def hamiltonian_apply(
             diag -= cw
             partners ^= low
         out[idx] += diag
-    return _from_numerators(n, x.k, out, scale * den * x_den)
+    return WeightVector.over(n, x.k, out, scale * den * x.den)
 
 
 class HamiltonianTerm(NamedTuple):
@@ -260,7 +258,6 @@ def hamiltonian_pairing(m: int, I: SubsetIndex, J: SubsetIndex) -> PairingFuncti
 
 def hamiltonian_matrix(
     m: int, u: ParameterPoint, n: int, k: int, reduced: bool = True
-) -> list[list[Fraction]]:
-    """Matrix of the Hamiltonian on the colex basis; rows index outputs."""
-    cols = [hamiltonian_apply(m, u, basis_vector(n, I), reduced) for I in subsets(n, k)]
-    return [[col.coeffs[r] for col in cols] for r in range(len(cols))]
+) -> list[WeightVector]:
+    """Columns H_m V_I of the Hamiltonian on the colex basis, in colex order."""
+    return [hamiltonian_apply(m, u, basis_vector(n, I), reduced) for I in subsets(n, k)]

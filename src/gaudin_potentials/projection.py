@@ -21,9 +21,7 @@ from .weight_space import (
     ZERO,
     SubsetIndex,
     WeightVector,
-    _from_numerators,
     _mask_rank,
-    _numerators,
     apply_f,
     basis_vector,
     shapovalov,
@@ -91,17 +89,17 @@ def project(x: WeightVector) -> WeightVector:
     if k == 0:
         return x  # every weight-n vector is singular
     _require_projectable(n, k)
-    a, a_den = _numerators(coefficients(n, k).a)  # a_den divides (n-k+1)!
-    nums, den = _numerators(x.coeffs)
+    a_den = factorial(n - k + 1)  # coefficients() builds the a-table over (n-k+1)!
+    a = [int(v * a_den) for v in coefficients(n, k).a]
     masks = subset_masks(n, k)
     out = [0] * len(masks)
-    for mi, c in zip(masks, nums):
+    for mi, c in zip(masks, x.nums):
         if not c:
             continue
         row = [c * v for v in a]
         for j, mj in enumerate(masks):
             out[j] += row[(mi & mj).bit_count()]
-    return _from_numerators(n, k, out, den * a_den)
+    return WeightVector.over(n, k, out, x.den * a_den)
 
 
 def _gauss_jordan(work: list[list[Fraction]], ncols: int) -> int:
@@ -159,10 +157,7 @@ def oracle_decompose(x: WeightVector) -> tuple[WeightVector, WeightVector]:
     lowered_subsets = subsets(n, k - 1)
     rhs = [shapovalov(apply_f(basis_vector(n, K)), x) for K in lowered_subsets]
     ginv = _gram_inverse(n, k)
-    y_coeffs = tuple(
-        sum((ginv[i][j] * rhs[j] for j in range(len(rhs))), ZERO) for i in range(len(rhs))
-    )
-    y = WeightVector(n, k - 1, y_coeffs)
+    y = WeightVector.of(n, k - 1, [sum((g * r for g, r in zip(row, rhs)), ZERO) for row in ginv])
     return x - apply_f(y), y
 
 
@@ -203,9 +198,9 @@ def embed_in_factors(vec: WeightVector, slots: tuple[int, ...], n: int) -> Weigh
     if len(slots) != vec.n or len(set(slots)) != len(slots):
         raise ValueError("slot list must name one distinct factor per small tensor factor")
     small_masks = subset_masks(vec.n, vec.k)
-    out = [ZERO] * weight_dim(n, vec.k)
+    out = [0] * weight_dim(n, vec.k)
     rank = _mask_rank(n, vec.k)
-    for mask, c in zip(small_masks, vec.coeffs):
+    for mask, c in zip(small_masks, vec.nums):
         if not c:
             continue
         big = 0
@@ -217,4 +212,4 @@ def embed_in_factors(vec: WeightVector, slots: tuple[int, ...], n: int) -> Weigh
             m >>= 1
             pos += 1
         out[rank[big]] += c
-    return WeightVector(n, vec.k, tuple(out))
+    return WeightVector(n, vec.k, tuple(out), vec.den)

@@ -32,6 +32,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import re
 
+from .weight_space import rational
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -96,7 +98,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c) -> "Polynomial":
-        c = Fraction(c)
+        c = rational(c)
         return cls({EMPTY_MONO: c} if c else {})
 
     @classmethod
@@ -164,7 +166,7 @@ class Polynomial:
             res = Polynomial.__new__(Polynomial)
             res.terms = out
             return res
-        c = Fraction(other)
+        c = rational(other)
         if not c:
             return Polynomial.zero()
         res = Polynomial.__new__(Polynomial)

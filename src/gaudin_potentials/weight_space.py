@@ -4,12 +4,12 @@ The tensor power splits into weight spaces indexed by k, the number of
 lowered factors.  A basis of the weight-(n-2k) space is labeled by the
 k-element subsets of {1, ..., n}; subsets are stored as bitmasks and
 enumerated in colexicographic order (which coincides with increasing mask
-value).  All coefficients are exact rationals (`fractions.Fraction`);
-nothing in this package computes in floating point (only the runner's
-wall-clock timings are floats).  The vector kernels here and in
-`projection` and `operators` compute on integer numerators over one
-common denominator (`_numerators`, `_from_numerators`), so a `Fraction`
-is built once per output coefficient.
+value).  A vector holds integer numerators over one positive
+denominator, in lowest terms; `coeffs` is a derived `Fraction` view for
+the oracles.  The vector kernels here and in `projection` and
+`operators` read and write the numerators directly.  Nothing in this
+package computes in floating point (only the runner's wall-clock
+timings are floats), and scalars must be `int` or `Fraction`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable
 
 MAX_N = 64
@@ -31,6 +31,13 @@ def weight_dim(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+def rational(c) -> Fraction:
+    """c as a Fraction; TypeError unless c is an exact int or Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected an int or Fraction, got {type(c).__name__} {c!r}")
+    return Fraction(c)
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +93,10 @@ class SubsetIndex:
         for i in elements:
             if not 1 <= i <= n:
                 raise ValueError(f"element {i} outside {{1,...,{n}}}")
-            mask |= 1 << (i - 1)
+            bit = 1 << (i - 1)
+            if mask & bit:
+                raise ValueError(f"element {i} is repeated")
+            mask |= bit
         return cls(n, mask)
 
     @property
@@ -125,34 +135,58 @@ def subset_rank(ix: SubsetIndex) -> int:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Element of the weight-(n-2k) space as a dense coefficient tuple.
+    """Element of the weight-(n-2k) space: integer numerators over one
+    positive denominator.
 
-    Coefficients follow the colex enumeration of k-subsets.  Weight
-    spaces with k outside 0..n are canonical empty spaces whose only
-    vector is the zero vector (coeffs = ()).
+    The coefficient at V_I is nums[r] / den, where r is the colex rank of
+    I.  The pair is kept in lowest terms, so equal vectors are equal
+    structurally.  Weight spaces with k outside 0..n are canonical empty
+    spaces whose only vector is the zero vector (nums = ()).
     """
 
     n: int
     k: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"ambient size n={self.n} must lie in 1..{MAX_N}")
-        if len(self.coeffs) != weight_dim(self.n, self.k):
+        if len(self.nums) != weight_dim(self.n, self.k):
             raise ValueError(
-                f"coefficient array has length {len(self.coeffs)}, "
+                f"coefficient array has length {len(self.nums)}, "
                 f"expected C({self.n},{self.k}) = {weight_dim(self.n, self.k)}"
             )
+        if self.den < 1 or gcd(self.den, *self.nums) != 1:
+            raise ValueError(f"numerators over denominator {self.den} are not in lowest terms")
+
+    @classmethod
+    def over(cls, n: int, k: int, nums, den: int) -> "WeightVector":
+        """The vector with coefficients nums[r] / den (den > 0), reduced."""
+        g = gcd(den, *nums)
+        nums = tuple(nums) if g == 1 else tuple([v // g for v in nums])
+        return cls(n, k, nums, den // g)
+
+    @classmethod
+    def of(cls, n: int, k: int, coeffs) -> "WeightVector":
+        """The vector with the given exact rational coefficients."""
+        ratios = [rational(c).as_integer_ratio() for c in coeffs]
+        den = lcm(*(d for _, d in ratios))
+        return cls.over(n, k, [p * (den // d) for p, d in ratios], den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, in colex order."""
+        return tuple(Fraction(v, self.den) if v else ZERO for v in self.nums)
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def coefficient(self, ix: SubsetIndex) -> Fraction:
         if ix.n != self.n or ix.size != self.k:
             raise ValueError(f"subset {ix} does not label the (n={self.n}, k={self.k}) basis")
-        return self.coeffs[subset_rank(ix)]
+        return Fraction(self.nums[subset_rank(ix)], self.den)
 
     def _require_same_space(self, other: "WeightVector") -> None:
         if (self.n, self.k) != (other.n, other.k):
@@ -162,24 +196,26 @@ class WeightVector:
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
         self._require_same_space(other)
-        return WeightVector(self.n, self.k, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        nums = [a * sa + b * sb for a, b in zip(self.nums, other.nums)]
+        return WeightVector.over(self.n, self.k, nums, den)
 
     def __sub__(self, other: "WeightVector") -> "WeightVector":
-        self._require_same_space(other)
-        return WeightVector(self.n, self.k, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "WeightVector":
-        return WeightVector(self.n, self.k, tuple(-a for a in self.coeffs))
+        return WeightVector(self.n, self.k, tuple(-v for v in self.nums), self.den)
 
     def __mul__(self, scalar) -> "WeightVector":
-        c = Fraction(scalar)
-        return WeightVector(self.n, self.k, tuple(c * a if a else ZERO for a in self.coeffs))
+        p, q = rational(scalar).as_integer_ratio()
+        return WeightVector.over(self.n, self.k, [p * v for v in self.nums], q * self.den)
 
     __rmul__ = __mul__
 
 
 def zero_vector(n: int, k: int) -> WeightVector:
-    return WeightVector(n, k, (ZERO,) * weight_dim(n, k))
+    return WeightVector(n, k, (0,) * weight_dim(n, k))
 
 
 def basis_vector(n: int, subset) -> WeightVector:
@@ -187,31 +223,15 @@ def basis_vector(n: int, subset) -> WeightVector:
     ix = subset if isinstance(subset, SubsetIndex) else SubsetIndex.of(n, subset)
     if ix.n != n:
         raise ValueError(f"subset carries ambient size {ix.n}, expected {n}")
-    coeffs = [ZERO] * weight_dim(n, ix.size)
-    coeffs[subset_rank(ix)] = ONE
-    return WeightVector(n, ix.size, tuple(coeffs))
-
-
-def _numerators(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of `coeffs` over the lcm of their denominators."""
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    den = lcm(*{d for _, d in ratios})
-    if den == 1:
-        return [p for p, _ in ratios], 1
-    return [p * (den // d) for p, d in ratios], den
-
-
-def _from_numerators(n: int, k: int, nums: list[int], den: int) -> WeightVector:
-    """The weight vector with coefficients nums[i] / den, as Fractions."""
-    return WeightVector(n, k, tuple(Fraction(v, den) if v else ZERO for v in nums))
+    nums = [0] * weight_dim(n, ix.size)
+    nums[subset_rank(ix)] = 1
+    return WeightVector(n, ix.size, tuple(nums))
 
 
 def shapovalov(x: WeightVector, y: WeightVector) -> Fraction:
     """The bilinear form making the tensor basis orthonormal: sum of x_I * y_I."""
     x._require_same_space(y)
-    xs, xd = _numerators(x.coeffs)
-    ys, yd = _numerators(y.coeffs)
-    return Fraction(sum(a * b for a, b in zip(xs, ys) if a), xd * yd)
+    return Fraction(sum(a * b for a, b in zip(x.nums, y.nums) if a), x.den * y.den)
 
 
 def apply_e(x: WeightVector) -> WeightVector:
@@ -222,9 +242,8 @@ def apply_e(x: WeightVector) -> WeightVector:
         return zero_vector(n, k - 1)
     rank = _mask_rank(n, k - 1)
     masks = subset_masks(n, k)
-    nums, den = _numerators(x.coeffs)
     out = [0] * dim
-    for mask, c in zip(masks, nums):
+    for mask, c in zip(masks, x.nums):
         if not c:
             continue
         m = mask
@@ -232,7 +251,7 @@ def apply_e(x: WeightVector) -> WeightVector:
             low = m & -m
             out[rank[mask ^ low]] += c
             m ^= low
-    return _from_numerators(n, k - 1, out, den)
+    return WeightVector.over(n, k - 1, out, x.den)
 
 
 def apply_f(x: WeightVector) -> WeightVector:
@@ -243,10 +262,9 @@ def apply_f(x: WeightVector) -> WeightVector:
         return zero_vector(n, k + 1)
     rank = _mask_rank(n, k + 1)
     masks = subset_masks(n, k)
-    nums, den = _numerators(x.coeffs)
     out = [0] * dim
     full = (1 << n) - 1
-    for mask, c in zip(masks, nums):
+    for mask, c in zip(masks, x.nums):
         if not c:
             continue
         m = full & ~mask
@@ -254,12 +272,12 @@ def apply_f(x: WeightVector) -> WeightVector:
             low = m & -m
             out[rank[mask | low]] += c
             m ^= low
-    return _from_numerators(n, k + 1, out, den)
+    return WeightVector.over(n, k + 1, out, x.den)
 
 
 def apply_h(x: WeightVector) -> WeightVector:
     """Cartan operator: multiplication by the weight n - 2k."""
-    return x * Fraction(x.n - 2 * x.k)
+    return x * (x.n - 2 * x.k)
 
 
 def is_singular(x: WeightVector) -> bool:

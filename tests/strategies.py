@@ -18,4 +18,4 @@ def dense_vectors(draw, min_k=0, n=None, k=None):
     if draw(st.booleans()) and draw(st.booleans()):
         return zero_vector(n, k)
     dim = weight_dim(n, k)
-    return WeightVector(n, k, tuple(draw(st.lists(fractions, min_size=dim, max_size=dim))))
+    return WeightVector.of(n, k, draw(st.lists(fractions, min_size=dim, max_size=dim)))

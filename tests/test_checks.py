@@ -25,6 +25,25 @@ def test_core_checks_pass(n, k):
     assert check_hamiltonian_properties(n, k).passed
 
 
+def test_hamiltonian_properties_catch_a_wrong_hamiltonian(monkeypatch):
+    # H_2 scaled by 2 still commutes with everything; only the independent
+    # basis-action route can tell, so the check must still reach it
+    import gaudin_potentials.operators as operators_mod
+
+    right = operators_mod.hamiltonian_apply
+
+    def wrong_for_m2(m, u, x, reduced=True):
+        out = right(m, u, x, reduced)
+        return out * 2 if m == 2 else out
+
+    monkeypatch.setattr(operators_mod, "hamiltonian_apply", wrong_for_m2)
+    monkeypatch.setattr(checks_mod, "hamiltonian_apply", wrong_for_m2)
+    rep = check_hamiltonian_properties(4, 2)
+    assert not rep.passed
+    assert rep.first_failure["what"] == "basis action vs direct application"
+    assert rep.first_failure["m"] == "2"
+
+
 def test_locality_reports_k1_constant():
     rep = check_locality(6, 1)
     assert rep.details == {"constant": str(Fraction(2, 6))}

@@ -34,6 +34,8 @@ def test_parameter_point_validation():
     # a float coordinate would turn the exact kernels inexact
     with pytest.raises(TypeError):
         ParameterPoint((Fraction(1, 2), 1.5))
+    with pytest.raises(TypeError):
+        ParameterPoint.of([Fraction(1, 2), 1.5])
     # int coordinates are exact: 1/(u_1 - u_j) = -1, -1/3
     out = hamiltonian_apply(1, ParameterPoint((0, 1, 3)), basis_vector(3, [1]))
     assert out.coeffs == (Fraction(4, 3), Fraction(-1), Fraction(-1, 3))

@@ -45,6 +45,17 @@ def test_polynomial_basics():
     assert Polynomial.constant(0).is_zero
 
 
+def test_float_scalars_are_refused():
+    # 0.1 would silently become 3602879701896397/36028797018963968
+    p = L12_poly()
+    e = LogRationalExpr.log_term(L12, p)
+    for bad in (lambda: Polynomial.constant(0.1), lambda: p * 0.1, lambda: 0.1 * p, lambda: e * 0.1):
+        with pytest.raises(TypeError):
+            bad()
+    assert p * Fraction(1, 10) == Polynomial.constant(Fraction(1, 10)) * p
+    assert (e * 2).logs[L12] == p * 2
+
+
 def test_polynomial_differentiate():
     p = L12_poly() * L12_poly()
     dp = p.differentiate(X1)

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from strategies import dense_vectors
 
-from gaudin_potentials.projection import matrix_rank
+from gaudin_potentials.operators import ParameterPoint, casimir_apply, hamiltonian_apply
+from gaudin_potentials.projection import embed_in_factors, matrix_rank, project
 from gaudin_potentials.weight_space import (
     SubsetIndex,
     WeightVector,
@@ -46,6 +48,15 @@ def test_subset_out_of_range():
         SubsetIndex(65, 1)
 
 
+def test_repeated_subset_element_is_refused():
+    # a repeated element must not collapse into a smaller subset
+    with pytest.raises(ValueError, match="repeated"):
+        SubsetIndex.of(4, [1, 1, 2])
+    with pytest.raises(ValueError, match="repeated"):
+        basis_vector(4, [1, 1, 2])
+    assert SubsetIndex.of(4, [2, 1]) == SubsetIndex(4, 0b11)
+
+
 def test_basis_vector_indicator():
     v = basis_vector(2, [1])
     assert v.coeffs == (Fraction(1), Fraction(0))
@@ -59,7 +70,7 @@ def test_basis_vector_indicator():
 
 def test_weight_vector_length_validation():
     with pytest.raises(ValueError):
-        WeightVector(3, 1, (Fraction(1),))
+        WeightVector.of(3, 1, (Fraction(1),))
 
 
 def test_shapovalov_orthonormal_basis():
@@ -177,3 +188,59 @@ def test_ladder_operators_match_basis_definition(x):
     for got, expected in ((apply_e(x), e_expected), (apply_f(x), f_expected)):
         assert got == expected
         assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def test_unreduced_vector_is_refused():
+    with pytest.raises(ValueError, match="lowest terms"):
+        WeightVector(1, 1, (2,), 2)
+    with pytest.raises(ValueError, match="lowest terms"):
+        WeightVector(2, 1, (0, 0), 3)
+    with pytest.raises(ValueError, match="lowest terms"):
+        WeightVector(2, 1, (1, 0), -1)
+    assert WeightVector.over(2, 1, [2, -4], 6) == WeightVector(2, 1, (1, -2), 3)
+
+
+def test_float_scalar_is_refused():
+    v = basis_vector(3, [1])
+    for bad in (lambda: v * 0.1, lambda: 0.1 * v, lambda: WeightVector.of(3, 1, [0.5, 0, 0])):
+        with pytest.raises(TypeError):
+            bad()
+    assert v * Fraction(1, 10) == WeightVector(3, 1, (1, 0, 0), 10)
+
+
+def _in_lowest_terms(v):
+    return v.den >= 1 and gcd(v.den, *v.nums) == 1 and all(type(c) is int for c in v.nums)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_vectors(), st.data())
+def test_vector_arithmetic_matches_fraction_arithmetic(x, data):
+    y = data.draw(dense_vectors(n=x.n, k=x.k))
+    c = data.draw(st.one_of(st.integers(-5, 5), st.fractions(max_denominator=9)))
+    assert WeightVector.of(x.n, x.k, x.coeffs) == x
+    assert all(type(v) is Fraction for v in x.coeffs)
+    cases = [
+        (x + y, [a + b for a, b in zip(x.coeffs, y.coeffs)]),
+        (x - y, [a - b for a, b in zip(x.coeffs, y.coeffs)]),
+        (-x, [-a for a in x.coeffs]),
+        (x * c, [c * a for a in x.coeffs]),
+        (c * x, [c * a for a in x.coeffs]),
+    ]
+    for got, expected in cases:
+        assert got.coeffs == tuple(expected)
+        assert _in_lowest_terms(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_vectors(min_k=1), st.data())
+def test_kernel_outputs_are_in_lowest_terms(x, data):
+    n = x.n
+    u = ParameterPoint(tuple(data.draw(st.lists(st.fractions(-9, 9, max_denominator=7),
+                                                min_size=n, max_size=n, unique=True))))
+    slots = tuple(data.draw(st.permutations(range(1, n + 2))))[:n]
+    outputs = [apply_e(x), apply_f(x), apply_h(x), project(x), embed_in_factors(x, slots, n + 1)]
+    for m in range(1, n + 1):
+        outputs.append(hamiltonian_apply(m, u, x))
+        outputs.append(hamiltonian_apply(m, u, x, reduced=False))
+        outputs.extend(casimir_apply(x, m, j) for j in range(1, n + 1) if j != m)
+    assert all(_in_lowest_terms(v) for v in outputs)
