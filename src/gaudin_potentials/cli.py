@@ -131,14 +131,11 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         if args.points < 1:
             parser.error(f"--points must be at least 1, got {args.points}")
     reg = registry()
-    if "all" in args.check:
-        selected = tuple(reg)
-    else:
-        unknown = [c for c in args.check if c not in reg]
-        if unknown:
-            parser.error(f"unknown checks: {', '.join(unknown)} (known: {', '.join(reg)}, all)")
-        # keep default execution order, drop duplicates
-        selected = tuple(name for name in reg if name in set(args.check))
+    unknown = [c for c in args.check if c != "all" and c not in reg]
+    if unknown:
+        parser.error(f"unknown checks: {', '.join(unknown)} (known: {', '.join(reg)}, all)")
+    # keep default execution order, drop duplicates
+    selected = tuple(name for name in reg if "all" in args.check or name in args.check)
     config = RunConfig(
         n=args.n,
         k=args.k,

@@ -2,8 +2,8 @@
 
 The reduced two-factor Casimir acts on basis vectors as (swap the
 contents of the two factors) minus the identity, which keeps every
-application exactly sparse; the unreduced operator adds one half of the
-identity.  Hamiltonians are the pole-weighted sums of pair Casimirs.
+application exactly sparse.  The reduced Gaudin Hamiltonians are the
+pole-weighted sums of these pair Casimirs.
 Besides direct application at an exact rational parameter point, the
 basis action is also available symbolically as a list of first-order
 pole terms, and pairings against projected basis vectors come out as
@@ -68,11 +68,9 @@ class ParameterPoint:
         return tuple(rows)
 
 
-def casimir_apply(x: WeightVector, m: int, j: int, reduced: bool = True) -> WeightVector:
-    """Apply the pair Casimir in factors m and j.
-
-    Reduced: swap minus identity on basis vectors.  Unreduced adds x/2.
-    """
+def casimir_apply(x: WeightVector, m: int, j: int) -> WeightVector:
+    """Apply the reduced pair Casimir in factors m and j: swap minus
+    identity on basis vectors."""
     n = x.n
     if m == j:
         raise ValueError(f"Casimir needs two distinct factors, got m = j = {m}")
@@ -81,9 +79,8 @@ def casimir_apply(x: WeightVector, m: int, j: int, reduced: bool = True) -> Weig
     masks = subset_masks(n, x.k)
     rank = _mask_rank(n, x.k)
     pair = (1 << (m - 1)) | (1 << (j - 1))
-    coeffs = x.coeffs
     out = [ZERO] * len(masks)
-    for idx, c in enumerate(coeffs):
+    for idx, c in enumerate(x.coeffs):
         if not c:
             continue
         mask = masks[idx]
@@ -91,17 +88,13 @@ def casimir_apply(x: WeightVector, m: int, j: int, reduced: bool = True) -> Weig
         if hit and hit != pair:  # exactly one of the two factors is lowered
             out[rank[mask ^ pair]] += c
             out[idx] -= c
-    if not reduced:
-        out = [v + c / 2 for v, c in zip(out, coeffs)]
     return WeightVector.of(n, x.k, out)
 
 
-def hamiltonian_apply(
-    m: int, u: ParameterPoint, x: WeightVector, reduced: bool = True
-) -> WeightVector:
-    """Apply the m-th (reduced) Gaudin Hamiltonian at the point u.
+def hamiltonian_apply(m: int, u: ParameterPoint, x: WeightVector) -> WeightVector:
+    """Apply the m-th reduced Gaudin Hamiltonian at the point u.
 
-    Equals the sum over j != m of casimir_apply(x, m, j, reduced) divided
+    Equals the sum over j != m of casimir_apply(x, m, j) divided
     by u_m - u_j.  The loop is fused and visits only the nonzero entries
     of x: for V_I, the Casimir in factors m, j acts only when exactly one
     of them lies in I, i.e. j outside I when m is in I, j in I otherwise.
@@ -112,9 +105,6 @@ def hamiltonian_apply(
     if not 1 <= m <= n:
         raise ValueError(f"Hamiltonian index {m} outside 1..{n}")
     weights, den = u._pole_weights[m - 1]
-    # unreduced: the extra (1/2) * sum_j W_j / D * x goes over the denominator 2D
-    scale = 1 if reduced else 2
-    shift = 0 if reduced else sum(weights)
     masks = subset_masks(n, x.k)
     rank = _mask_rank(n, x.k)
     out = [0] * len(masks)
@@ -125,16 +115,15 @@ def hamiltonian_apply(
             continue
         mask = masks[idx]
         partners = full & ~mask if mask & bit_m else mask
-        sc = scale * c
-        diag = c * shift
+        diag = 0
         while partners:
             low = partners & -partners
-            cw = sc * weights[low.bit_length() - 1]
+            cw = c * weights[low.bit_length() - 1]
             out[rank[mask ^ bit_m ^ low]] += cw
             diag -= cw
             partners ^= low
         out[idx] += diag
-    return WeightVector.over(n, x.k, out, scale * den * x.den)
+    return WeightVector.over(n, x.k, out, den * x.den)
 
 
 class HamiltonianTerm(NamedTuple):
@@ -256,8 +245,6 @@ def hamiltonian_pairing(m: int, I: SubsetIndex, J: SubsetIndex) -> PairingFuncti
     return PairingFunction.from_raw(raw)
 
 
-def hamiltonian_matrix(
-    m: int, u: ParameterPoint, n: int, k: int, reduced: bool = True
-) -> list[WeightVector]:
+def hamiltonian_matrix(m: int, u: ParameterPoint, n: int, k: int) -> list[WeightVector]:
     """Columns H_m V_I of the Hamiltonian on the colex basis, in colex order."""
-    return [hamiltonian_apply(m, u, basis_vector(n, I), reduced) for I in subsets(n, k)]
+    return [hamiltonian_apply(m, u, basis_vector(n, I)) for I in subsets(n, k)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .operators import PairingFunction, ParameterPoint, hamiltonian_apply, hamiltonian_pairing
@@ -181,15 +181,16 @@ def lift_pairing(pf: PairingFunction) -> LogRationalExpr:
 # Case sampling
 # ---------------------------------------------------------------------------
 
-EXHAUSTIVE_LIMIT = 6
+# Largest weight-space dimension C(n, k) whose pairs are all checked;
+# C(6, 3) = 20, so every n <= 6 and every k = 1 up to n = 20 is exhaustive.
+EXHAUSTIVE_LIMIT = 20
 
 
-def sample_pairs(n: int, k: int, sample: str = "auto") -> list[tuple[SubsetIndex, SubsetIndex]]:
-    """Pairs (I, J) to check: every pair at small n, otherwise a
-    deterministic stratified family covering every intersection size."""
-    if sample not in ("auto", "exhaustive", "stratified"):
-        raise ValueError(f"unknown sampling policy {sample!r}")
-    if sample == "exhaustive" or (sample == "auto" and n <= EXHAUSTIVE_LIMIT):
+def sample_pairs(n: int, k: int) -> list[tuple[SubsetIndex, SubsetIndex]]:
+    """Pairs (I, J) to check: every pair while C(n, k) <= EXHAUSTIVE_LIMIT,
+    otherwise a deterministic stratified family covering every
+    intersection size, for I = {1..k} and for I shifted up by one."""
+    if comb(n, k) <= EXHAUSTIVE_LIMIT:
         alls = subsets(n, k)
         return [(I, J) for I in alls for J in alls]
     pairs = []
@@ -207,20 +208,12 @@ def sample_pairs(n: int, k: int, sample: str = "auto") -> list[tuple[SubsetIndex
     return pairs
 
 
-def sample_triples(
-    n: int, k: int, sample: str = "auto"
-) -> list[tuple[int, SubsetIndex, SubsetIndex]]:
-    """Triples (m, I, J); m ranges over everything, so the stratified
-    family hits all placement cases of m relative to I and J."""
-    return [(m, I, J) for I, J in sample_pairs(n, k, sample) for m in range(1, n + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Theorem verification
 # ---------------------------------------------------------------------------
 
 
-def verify_theorem_first(n: int, k: int, sample: str = "auto") -> CheckReport:
+def verify_theorem_first(n: int, k: int) -> CheckReport:
     """Double partial derivatives of the first potential equal the
     closed-form pairings a_{|I meet J|}."""
     _require_sizes(n, k)
@@ -228,7 +221,7 @@ def verify_theorem_first(n: int, k: int, sample: str = "auto") -> CheckReport:
     P = build_P(n, k)
     cache = DerivativeCache(P)
     a = coefficients(n, k).a
-    for I, J in sample_pairs(n, k, sample):
+    for I, J in sample_pairs(n, k):
         derived = _double_partial(cache, I, J)
         expected = a[I.intersection_size(J)]
         ok = derived.is_constant and derived.constant_value() == expected
@@ -237,10 +230,7 @@ def verify_theorem_first(n: int, k: int, sample: str = "auto") -> CheckReport:
 
 
 def verify_theorem_second(
-    n: int,
-    k: int,
-    sample: str = "auto",
-    z_points: Sequence[dict[Var, Fraction]] | None = None,
+    n: int, k: int, z_points: Sequence[dict[Var, Fraction]] | None = None
 ) -> CheckReport:
     """Third-order derivatives of the second potential equal the reduced
     Hamiltonian pairings, both structurally and at exact points.
@@ -253,7 +243,7 @@ def verify_theorem_second(
     cache = DerivativeCache(Q)
     pts = list(z_points) if z_points is not None else deterministic_z_points(n, k)
     u_points = [ParameterPoint(tuple(pt[Var(i, 1)] for i in range(1, n + 1))) for pt in pts]
-    for I, J in sample_pairs(n, k, sample):
+    for I, J in sample_pairs(n, k):
         S = _double_partial(cache, I, J)
         for m in range(1, n + 1):
             E = S.differentiate(Var(m, 1)).reduced()
@@ -279,10 +269,7 @@ def verify_theorem_second(
 
 
 def verify_relation(
-    n: int,
-    k: int,
-    sample: str = "auto",
-    constants: PotentialConstants | None = None,
+    n: int, k: int, constants: PotentialConstants | None = None
 ) -> CheckReport:
     """The Euler-type relation tying the two potentials together:
     (1/c1) * D_I D_J P equals (1/c2) * sum_m z_m * d/dz_m D_I D_J Q."""
@@ -296,7 +283,7 @@ def verify_relation(
     Q = _second_kind(sums, true_consts.c2)
     cache_p = DerivativeCache(P)
     cache_q = DerivativeCache(Q)
-    for I, J in sample_pairs(n, k, sample):
+    for I, J in sample_pairs(n, k):
         lhs = LogRationalExpr.from_polynomial(_double_partial(cache_p, I, J) * (1 / consts.c1))
         S = _double_partial(cache_q, I, J)
         rhs = LogRationalExpr.zero()

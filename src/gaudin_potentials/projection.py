@@ -132,11 +132,6 @@ def invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[d:] for row in aug]
 
 
-def matrix_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by row echelon reduction."""
-    return _gauss_jordan([list(r) for r in rows], len(rows[0]) if rows else 0)
-
-
 @lru_cache(maxsize=None)
 def _gram_inverse(n: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse Gram matrix of the lowered basis {f V_K}, K a (k-1)-subset."""
@@ -197,6 +192,8 @@ def embed_in_factors(vec: WeightVector, slots: tuple[int, ...], n: int) -> Weigh
     """
     if len(slots) != vec.n or len(set(slots)) != len(slots):
         raise ValueError("slot list must name one distinct factor per small tensor factor")
+    if not all(1 <= s <= n for s in slots):
+        raise ValueError(f"slots {slots} must lie in 1..{n}")
     small_masks = subset_masks(vec.n, vec.k)
     out = [0] * weight_dim(n, vec.k)
     rank = _mask_rank(n, vec.k)

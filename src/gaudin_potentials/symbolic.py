@@ -123,9 +123,6 @@ class Polynomial:
             raise ValueError("polynomial is not constant")
         return self.terms.get(EMPTY_MONO, ZERO)
 
-    def total_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
@@ -228,13 +225,6 @@ class LinearForm:
         if not 1 <= self.p < self.q:
             raise ValueError(f"linear form requires 1 <= p < q, got ({self.p}, {self.q})")
 
-    @classmethod
-    def of(cls, a: int, b: int) -> tuple["LinearForm", int]:
-        """Normalized form plus the sign relating z_a - z_b to it."""
-        if a == b:
-            raise ValueError("degenerate linear form z_a - z_a")
-        return (cls(a, b), 1) if a < b else (cls(b, a), -1)
-
     def sign_of(self, v: Var) -> int:
         if v.j != 1:
             return 0
@@ -243,9 +233,6 @@ class LinearForm:
         if v.i == self.q:
             return -1
         return 0
-
-    def as_polynomial(self) -> Polynomial:
-        return Polynomial.difference(self.p, self.q, 1)
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
         return point[Var(self.p, 1)] - point[Var(self.q, 1)]
@@ -513,38 +500,6 @@ def level_assignments(elements: Iterable[int]) -> Iterator[tuple[Var, ...]]:
         yield tuple(Var(idx, level) for level, idx in enumerate(perm, start=1))
 
 
-def apply_partial_I(expr, elements: Iterable[int]):
-    """The order-k operator summing mixed partials over all assignments
-    of levels 1..k to the indices of a k-subset.
-
-    Works on Polynomial and LogRationalExpr alike.
-    """
-    memo: dict[tuple[Var, ...], object] = {(): expr}
-    total = None
-    for variables in level_assignments(elements):
-        d = iterated_derivative(expr, variables, memo)
-        total = d if total is None else total + d
-    return total if total is not None else expr
-
-
-def iterated_derivative(expr, variables: Iterable[Var], memo=None):
-    """Mixed partial for a multiset of variables, memoized by sorted prefix."""
-    key = tuple(sorted((Var(*v) for v in variables), key=derivative_order_key))
-    if memo is None:
-        memo = {(): expr}
-    cur = None
-    start = 0
-    for t in range(len(key), -1, -1):
-        if key[:t] in memo:
-            cur = memo[key[:t]]
-            start = t
-            break
-    for t in range(start, len(key)):
-        cur = cur.differentiate(key[t])
-        memo[key[: t + 1]] = cur
-    return cur
-
-
 class DerivativeCache:
     """Shared memo of iterated partial derivatives of one base expression.
 
@@ -557,7 +512,18 @@ class DerivativeCache:
         self._memo: dict[tuple[Var, ...], object] = {(): base}
 
     def derivative(self, variables: Iterable[Var]):
-        return iterated_derivative(self._memo[()], variables, self._memo)
+        """Mixed partial for a multiset of variables, continuing from the
+        longest cached prefix of its canonical order."""
+        memo = self._memo
+        key = tuple(sorted((Var(*v) for v in variables), key=derivative_order_key))
+        start = len(key)
+        while key[:start] not in memo:
+            start -= 1
+        cur = memo[key[:start]]
+        for t in range(start, len(key)):
+            cur = cur.differentiate(key[t])
+            memo[key[: t + 1]] = cur
+        return cur
 
     def cached_count(self) -> int:
         return len(self._memo)
@@ -594,10 +560,6 @@ def dumps_expr(e: LogRationalExpr) -> str:
             lines.append(f"DEN {L.p} {L.q} {d}")
             lines.extend(_term_lines(e.dens[L][d]))
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def dumps_polynomial(p: Polynomial) -> str:
-    return dumps_expr(LogRationalExpr.from_polynomial(p))
 
 
 def _parse_term(line: str) -> tuple[Monomial, Fraction]:
@@ -665,9 +627,3 @@ def loads_expr(text: str) -> LogRationalExpr:
         dens={L: {d: Polynomial(t) for d, t in by.items()} for L, by in den_terms.items()},
     )
 
-
-def loads_polynomial(text: str) -> Polynomial:
-    e = loads_expr(text)
-    if e.logs or e.dens:
-        raise ValueError("expected a pure polynomial serialization")
-    return e.poly

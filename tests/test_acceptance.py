@@ -23,7 +23,7 @@ from gaudin_potentials.potentials import (
     build_Q,
     enumerate_alpha,
     lift_pairing,
-    sample_triples,
+    sample_pairs,
     verify_corollary,
     verify_relation,
     verify_theorem_first,
@@ -92,7 +92,7 @@ def test_criterion_04_theorem_second():
         assert report.passed, (n, k, report.first_failure)
         assert report.cases_checked == n * len(subsets(n, k)) ** 2
     for n in (7, 8):
-        triples = sample_triples(n, 3)
+        triples = [(m, I, J) for I, J in sample_pairs(n, 3) for m in range(1, n + 1)]
         assert len(triples) >= 50
         placements = set()
         for m, I, J in triples:
@@ -111,7 +111,7 @@ def test_criterion_04_theorem_second():
 
 def test_criterion_05_k1_specialization():
     for n in range(2, 11):
-        report = verify_theorem_second(n, 1, sample="exhaustive")
+        report = verify_theorem_second(n, 1)
         assert report.passed, (n, report.first_failure)
         assert report.cases_checked == n * n * n
     # closed n=2 case: the triple derivative is exactly -1/(z1 - z2)

@@ -32,8 +32,8 @@ def test_hamiltonian_properties_catch_a_wrong_hamiltonian(monkeypatch):
 
     right = operators_mod.hamiltonian_apply
 
-    def wrong_for_m2(m, u, x, reduced=True):
-        out = right(m, u, x, reduced)
+    def wrong_for_m2(m, u, x):
+        out = right(m, u, x)
         return out * 2 if m == 2 else out
 
     monkeypatch.setattr(operators_mod, "hamiltonian_apply", wrong_for_m2)

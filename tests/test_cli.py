@@ -141,11 +141,13 @@ def test_verify_usage_errors(capsys):
         main(["verify", "--n", "80", "--k", "1"])
     assert exc.value.code == 2
     # a seeded run that would check no seeded point is refused, and so is
-    # --points without --seed; the error shows the subcommand's usage line
+    # --points without --seed; an unknown check name is refused even next
+    # to `all`; the error shows the subcommand's usage line
     for extra, message in [
         (["--seed", "3", "--points", "-5"], "--points must be at least 1"),
         (["--seed", "3", "--points", "0"], "--points must be at least 1"),
         (["--check", "theorem1", "--points", "5"], "--points needs --seed"),
+        (["--check", "all", "--check", "bogus"], "unknown checks: bogus"),
     ]:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "4", "--k", "2", *extra])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from strategies import dense_vectors
 
 from gaudin_potentials.operators import ParameterPoint, casimir_apply, hamiltonian_apply
-from gaudin_potentials.projection import embed_in_factors, matrix_rank, project
+from gaudin_potentials.projection import _gauss_jordan, embed_in_factors, project
 from gaudin_potentials.weight_space import (
     SubsetIndex,
     WeightVector,
@@ -160,8 +160,20 @@ def test_singular_dimension_by_kernel_rank():
                     e_img = apply_e(basis_vector(n, c))
                     row.append(e_img.coefficient(r))
                 mat.append(row)
-            rank = matrix_rank(mat)
+            rank = _gauss_jordan(mat, len(cols))
             assert len(cols) - rank == weight_dim(n, k) - weight_dim(n, k - 1)
+
+
+def test_embed_in_factors_refuses_slots_outside_range():
+    # slot 0, and a slot above n both on and off the vector's support
+    for vec, slots in [
+        (basis_vector(2, [1]), (0, 2)),
+        (basis_vector(2, [1]), (5, 1)),
+        (basis_vector(2, [1]), (1, 5)),
+    ]:
+        with pytest.raises(ValueError, match="must lie in 1..3"):
+            embed_in_factors(vec, slots, 3)
+    assert embed_in_factors(basis_vector(2, [1]), (3, 1), 3) == basis_vector(3, [3])
 
 
 @settings(max_examples=80, deadline=None)
@@ -241,6 +253,5 @@ def test_kernel_outputs_are_in_lowest_terms(x, data):
     outputs = [apply_e(x), apply_f(x), apply_h(x), project(x), embed_in_factors(x, slots, n + 1)]
     for m in range(1, n + 1):
         outputs.append(hamiltonian_apply(m, u, x))
-        outputs.append(hamiltonian_apply(m, u, x, reduced=False))
         outputs.extend(casimir_apply(x, m, j) for j in range(1, n + 1) if j != m)
     assert all(_in_lowest_terms(v) for v in outputs)
