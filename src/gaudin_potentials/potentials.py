@@ -277,14 +277,19 @@ def verify_relation(
     rep = CheckReport("relation")
     true_consts = potential_constants(n, k)
     consts = constants if constants is not None else true_consts
-    # one accumulation gives both potentials
+    pairs = sample_pairs(n, k)
+    # one accumulation gives both potentials; the left sides are
+    # constants, so P's memo is freed before Q's is built
     sums = _square_sums(n, k)
-    P = _first_kind(sums, true_consts.c1)
-    Q = _second_kind(sums, true_consts.c2)
-    cache_p = DerivativeCache(P)
-    cache_q = DerivativeCache(Q)
-    for I, J in sample_pairs(n, k):
-        lhs = LogRationalExpr.from_polynomial(_double_partial(cache_p, I, J) * (1 / consts.c1))
+    cache_p = DerivativeCache(_first_kind(sums, true_consts.c1))
+    lhs_all = [
+        LogRationalExpr.from_polynomial(_double_partial(cache_p, I, J) * (1 / consts.c1))
+        for I, J in pairs
+    ]
+    del cache_p
+    cache_q = DerivativeCache(_second_kind(sums, true_consts.c2))
+    del sums
+    for (I, J), lhs in zip(pairs, lhs_all):
         S = _double_partial(cache_q, I, J)
         rhs = LogRationalExpr.zero()
         for m in range(1, n + 1):

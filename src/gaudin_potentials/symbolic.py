@@ -505,17 +505,19 @@ class DerivativeCache:
 
     Prefixes in the canonical variable order are cached, so the many
     permutation multisets arising from the partial operators reuse each
-    other's work.
+    other's work.  Keys hold one shared `Var` instance per variable.
     """
 
     def __init__(self, base):
         self._memo: dict[tuple[Var, ...], object] = {(): base}
+        self._vars: dict[Var, Var] = {}
 
     def derivative(self, variables: Iterable[Var]):
         """Mixed partial for a multiset of variables, continuing from the
         longest cached prefix of its canonical order."""
         memo = self._memo
-        key = tuple(sorted((Var(*v) for v in variables), key=derivative_order_key))
+        shared = (self._vars.setdefault(v, Var(*v)) for v in variables)
+        key = tuple(sorted(shared, key=derivative_order_key))
         start = len(key)
         while key[:start] not in memo:
             start -= 1

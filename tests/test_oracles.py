@@ -5,14 +5,20 @@ against it.  With the route rebound to raise in every package module
 that imported it, each oracle must still give the value it gave before,
 and that value must be the route's own.  A row passing proves, by
 construction rather than by reading, that the oracle is a second route.
+
+A second table shows that each theorem check can fail: one plausible
+mutant of a name its route reads must turn the report to fail while it
+still checks the same cases.
 """
 
+import dataclasses
 import sys
 
 import pytest
 
 import gaudin_potentials.checks as checks_mod
 import gaudin_potentials.operators as operators_mod
+import gaudin_potentials.potentials as potentials_mod
 import gaudin_potentials.projection as projection_mod
 from gaudin_potentials.operators import casimir_apply, evaluate_basis_action, hamiltonian_basis_action
 from gaudin_potentials.points import deterministic_parameter_points
@@ -120,3 +126,55 @@ def test_oracle_survives_disabled_route(monkeypatch, module, route, production, 
     with pytest.raises(AssertionError, match="production route"):
         production()
     assert oracle() == before
+
+
+def _swap_a0_a1(coefficients):
+    def mutant(n, k):
+        table = coefficients(n, k)
+        a = list(table.a)
+        a[0], a[1] = a[1], a[0]
+        return dataclasses.replace(table, a=tuple(a))
+
+    return mutant
+
+
+def _doubled(build):
+    return lambda *args: build(*args) * 2
+
+
+def _first_pole_dropped(hamiltonian_pairing):
+    def mutant(m, I, J):
+        pf = hamiltonian_pairing(m, I, J)
+        return dataclasses.replace(pf, terms=pf.terms[1:])
+
+    return mutant
+
+
+# (check, name in potentials, mutant of it); _first_kind guards the P
+# phase of the relation check and _second_kind its Q phase
+SENSITIVITY = [
+    ("theorem1", "coefficients", _swap_a0_a1),
+    ("relation", "_first_kind", _doubled),
+    ("relation", "_second_kind", _doubled),
+    ("theorem2", "hamiltonian_pairing", _first_pole_dropped),
+]
+
+THEOREM_CHECKS = {
+    "theorem1": potentials_mod.verify_theorem_first,
+    "relation": potentials_mod.verify_relation,
+    "theorem2": potentials_mod.verify_theorem_second,
+}
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (7, 2)], ids=["exhaustive", "stratified"])
+@pytest.mark.parametrize(
+    "check,name,mutate", SENSITIVITY, ids=[f"{check}-{name}" for check, name, _ in SENSITIVITY]
+)
+def test_theorem_check_fails_on_mutant(monkeypatch, n, k, check, name, mutate):
+    verify = THEOREM_CHECKS[check]
+    good = verify(n, k)
+    assert good.passed
+    monkeypatch.setattr(potentials_mod, name, mutate(getattr(potentials_mod, name)))
+    bad = verify(n, k)
+    assert not bad.passed
+    assert bad.cases_checked == good.cases_checked

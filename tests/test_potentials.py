@@ -1,10 +1,13 @@
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import gaudin_potentials.potentials as potentials_mod
 from gaudin_potentials.potentials import (
     PotentialConstants,
+    _double_partial,
     alpha_count,
     build_P,
     build_Q,
@@ -20,6 +23,7 @@ from gaudin_potentials.potentials import (
 from gaudin_potentials.operators import hamiltonian_pairing
 from gaudin_potentials.points import deterministic_parameter_points
 from gaudin_potentials.symbolic import (
+    DerivativeCache,
     LinearForm,
     LogRationalExpr,
     Polynomial,
@@ -235,6 +239,31 @@ def test_relation_failure_injection():
     report = verify_relation(4, 2, constants=bad)
     assert not report.passed
     assert report.first_failure is not None
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (8, 3)])  # exhaustive, stratified
+def test_relation_holds_one_derivative_cache(monkeypatch, n, k):
+    live = weakref.WeakSet()
+    live_counts = []
+
+    class CountingCache(DerivativeCache):
+        def __init__(self, base):
+            super().__init__(base)
+            live.add(self)
+            live_counts.append(len(live))
+
+    monkeypatch.setattr(potentials_mod, "DerivativeCache", CountingCache)
+    assert verify_relation(n, k).passed
+    # one cache for P, then one for Q, never both
+    assert live_counts == [1, 1]
+
+
+def test_derivative_memo_keys_share_variables():
+    cache = DerivativeCache(build_Q(5, 2))
+    for I, J in sample_pairs(5, 2):
+        _double_partial(cache, I, J)
+    entries = [v for key in cache._memo for v in key]
+    assert len({id(v) for v in entries}) == len(set(entries))
 
 
 def test_corollary_values():
