@@ -25,10 +25,9 @@ from .points import (
     random_parameter_points,
     random_z_points,
 )
-from .potentials import build_P, build_Q
+from .potentials import export_lines
 from .projection import coefficients, pairing_closed_form
 from .report import CheckReport
-from .symbolic import LogRationalExpr, dumps_expr
 from .weight_space import MAX_N, SubsetIndex
 
 USAGE_ERROR = 2
@@ -167,11 +166,12 @@ def cmd_tables(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def cmd_potential(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_sizes(parser, args.n, args.k)
-    if args.kind == "P":
-        expr = LogRationalExpr.from_polynomial(build_P(args.n, args.k))
+    lines = export_lines(args.n, args.k, args.kind)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
     else:
-        expr = build_Q(args.n, args.k)
-    _emit(dumps_expr(expr), args.out)
+        sys.stdout.writelines(lines)
     return 0
 
 

@@ -8,6 +8,11 @@ the first potential under the partial operators reproduce the pairings
 of projected basis vectors, and third-order derivatives of the second
 potential reproduce the reduced Hamiltonian pairings; the verify_*
 functions check those identities exactly.
+
+Every coefficient of either potential is a count, so `export_lines`
+writes the exchange format of P or Q straight from a walk over the
+indices, without expanding them; `build_P`/`build_Q` followed by
+`symbolic.dumps_expr` is its slow oracle.
 """
 
 from __future__ import annotations
@@ -140,6 +145,114 @@ def build_Q(n: int, k: int) -> LogRationalExpr:
     """Potential of the second kind: a pure log-polynomial."""
     _require_sizes(n, k)
     return _second_kind(_square_sums(n, k), potential_constants(n, k).c2)
+
+
+# ---------------------------------------------------------------------------
+# Streamed export
+# ---------------------------------------------------------------------------
+
+# Placement of a level in the walk: not placed, opened by its smaller
+# index, or closed as a square or as a cross.
+_UNUSED, _OPEN, _SQUARE, _CROSS = range(4)
+
+
+def export_lines(n: int, k: int, kind: str) -> Iterator[str]:
+    """The exchange-format export of P (kind "P") or Q (kind "Q"), line
+    by line: the bytes of `dumps_expr` of the built potential, without
+    building it."""
+    _require_sizes(n, k)
+    if kind not in ("P", "Q"):
+        raise ValueError(f"kind must be P or Q, got {kind!r}")
+    consts = potential_constants(n, k)
+    if kind == "P":
+        yield "POLY\n"
+        yield from _term_walk(n, k, consts.c1, None)
+        return
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            yield f"LOG {p} {q}\n"
+            yield from _term_walk(n, k, consts.c2, (p, q))
+
+
+def _term_walk(n: int, k: int, scale: Fraction, pin: tuple[int, int] | None) -> Iterator[str]:
+    """Term lines of scale * sum over pair sequences of
+    prod_j (z_{p_j}^(j) - z_{q_j}^(j))^2, in the descending graded lex
+    order of `Polynomial.sorted_terms`; with `pin` = (p, q), only the
+    sequences whose first pair is (p, q).
+
+    A monomial takes, at each level, either z_a^2 (square) or z_a z_b
+    with a < b (cross), and no index at two levels.  The levels drawn
+    from a pool of N indices, c of them cross and s square, give the
+    coefficient (-2)^c * (N-2c-s)!/(N-2c-2s)!: the falling factorial
+    counts the square levels' partners.  Unpinned, the pool is all n
+    indices and all k levels; pinned, level 1 lies on {p, q} (square
+    with one partner, or cross) and levels 2..k draw from the other n-2.
+
+    The walk visits i = 1..n.  At index i it tries the levels in
+    ascending order, an unplaced level as z_i^2 before it opens a cross
+    level with z_i, and closes an open level with z_i; skipping i comes
+    last.  That is the sort order, so no term is stored or sorted.  A
+    branch stops once its open and unplaced levels outnumber the indices
+    left to place them on.
+    """
+    p, q = pin if pin else (0, 0)  # index 0 is never visited
+    levels = range(2 if pin else 1, k + 1)
+    pool = n - 2 if pin else n
+
+    def coefficient_row(level1_cross: int) -> list[str]:
+        row = []
+        for c in range(len(levels) + 1):
+            s = len(levels) - c
+            partners = factorial(pool - 2 * c - s) // factorial(pool - 2 * c - 2 * s)
+            v = scale * (-2) ** (c + level1_cross) * partners
+            row.append(f"{v.numerator}/{v.denominator} ;")
+        return row
+
+    # by how the pinned level closed; unpinned, the walk starts as if it
+    # had closed as a square
+    coef = {_SQUARE: coefficient_row(0)}
+    if pin:
+        coef[_CROSS] = coefficient_row(1)
+    # cap[i]: indices of the pool in i..n
+    cap = [0] * (n + 2)
+    for i in range(n, 0, -1):
+        cap[i] = cap[i + 1] + (i != p and i != q)
+    square = [[f" ({i},{j})^2" for j in range(k + 1)] for i in range(n + 1)]
+    cross = [[f" ({i},{j})^1" for j in range(k + 1)] for i in range(n + 1)]
+    state = [_UNUSED] * (k + 1)
+
+    def walk(start: int, prefix: str, need: int, crosses: int, pinned: int) -> Iterator[str]:
+        # need: open or unplaced levels of the pool
+        if need == 0 and pinned >= _SQUARE:
+            yield coef[pinned][crosses] + prefix + "\n"
+            return
+        for i in range(start, n + 1):
+            if cap[i] < need or (pinned < _SQUARE and i > q):
+                return
+            if i == p:
+                yield from walk(i + 1, prefix + square[i][1], need, crosses, _SQUARE)
+                yield from walk(i + 1, prefix + cross[i][1], need, crosses, _OPEN)
+                continue
+            if i == q:
+                if pinned == _UNUSED:
+                    yield from walk(i + 1, prefix + square[i][1], need, crosses, _SQUARE)
+                elif pinned == _OPEN:
+                    yield from walk(i + 1, prefix + cross[i][1], need, crosses, _CROSS)
+                continue
+            for j in levels:
+                if state[j] == _UNUSED:
+                    state[j] = _SQUARE
+                    yield from walk(i + 1, prefix + square[i][j], need - 1, crosses, pinned)
+                    if cap[i] > need:
+                        state[j] = _OPEN
+                        yield from walk(i + 1, prefix + cross[i][j], need, crosses + 1, pinned)
+                    state[j] = _UNUSED
+                elif state[j] == _OPEN:
+                    state[j] = _CROSS
+                    yield from walk(i + 1, prefix + cross[i][j], need - 1, crosses, pinned)
+                    state[j] = _OPEN
+
+    return walk(1, "", len(levels), 0, _UNUSED if pin else _SQUARE)
 
 
 # ---------------------------------------------------------------------------

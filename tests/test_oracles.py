@@ -6,23 +6,35 @@ that imported it, each oracle must still give the value it gave before,
 and that value must be the route's own.  A row passing proves, by
 construction rather than by reading, that the oracle is a second route.
 
-A second table shows that each theorem check can fail: one plausible
+The streamed export is checked the other way round as well: with the
+symbolic expansion disabled, the CLI must still give the oracle's bytes.
+
+Two more tables show that every registry check can fail: one plausible
 mutant of a name its route reads must turn the report to fail while it
 still checks the same cases.
 """
 
+import contextlib
 import dataclasses
+import io
 import sys
 
 import pytest
 
 import gaudin_potentials.checks as checks_mod
+import gaudin_potentials.cli as cli_mod
 import gaudin_potentials.operators as operators_mod
 import gaudin_potentials.potentials as potentials_mod
 import gaudin_potentials.projection as projection_mod
+import gaudin_potentials.symbolic as symbolic_mod
+import gaudin_potentials.weight_space as weight_space_mod
+from gaudin_potentials.checks import registry
+from gaudin_potentials.cli import RunConfig
 from gaudin_potentials.operators import casimir_apply, evaluate_basis_action, hamiltonian_basis_action
 from gaudin_potentials.points import deterministic_parameter_points
+from gaudin_potentials.potentials import build_P, build_Q
 from gaudin_potentials.projection import oracle_decompose, project_oracle
+from gaudin_potentials.symbolic import LogRationalExpr, dumps_expr
 from gaudin_potentials.weight_space import basis_vector, subsets, zero_vector
 
 # Every route is linear, so its values on the basis determine it.
@@ -61,6 +73,20 @@ def _coefficients():
     return list(table.a), list(table.b)
 
 
+def _cli_exports():
+    out = []
+    for kind in ("P", "Q"):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            cli_mod.main(["potential", "--n", str(N), "--k", str(K), "--kind", kind])
+        out.append(buf.getvalue())
+    return out
+
+
+def _expanded_exports():
+    return [dumps_expr(LogRationalExpr.from_polynomial(build_P(N, K))), dumps_expr(build_Q(N, K))]
+
+
 # (route module, route name, production value, {oracle name: oracle value});
 # the production value goes through the module attribute, so that it
 # sees the route disabled
@@ -88,6 +114,12 @@ ROWS = [
         ],
         {"casimir_apply sum": _casimir_sum, "evaluate_basis_action": _basis_action},
     ),
+    (
+        potentials_mod,
+        "export_lines",
+        _cli_exports,
+        {"dumps_expr(build_P, build_Q)": _expanded_exports},
+    ),
 ]
 
 CASES = [
@@ -106,26 +138,51 @@ def _clear_package_caches():
                     value.cache_clear()
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Bind `replacement` wherever a package module bound `original`."""
+    _clear_package_caches()
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gaudin_potentials"):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
+def _disable(monkeypatch, original, message):
+    def disabled(*args, **kwargs):
+        raise AssertionError(message)
+
+    _rebind(monkeypatch, original, disabled)
+
+
 @pytest.mark.parametrize("module,route,production,oracle", CASES)
 def test_oracle_survives_disabled_route(monkeypatch, module, route, production, oracle):
     expected = production()
     before = oracle()
     assert before == expected
 
-    original = getattr(module, route)
-
-    def disabled(*args, **kwargs):
-        raise AssertionError(f"the oracle reached the production route {route}")
-
-    _clear_package_caches()
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("gaudin_potentials"):
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, disabled)
+    _disable(monkeypatch, getattr(module, route), f"the oracle reached the production route {route}")
     with pytest.raises(AssertionError, match="production route"):
         production()
     assert oracle() == before
+
+
+# the symbolic expansion and serializer behind the export oracle
+EXPANSION = [
+    (potentials_mod, "_square_sums"),
+    (potentials_mod, "build_P"),
+    (potentials_mod, "build_Q"),
+    (symbolic_mod, "dumps_expr"),
+]
+
+
+def test_streamed_export_survives_disabled_expansion(monkeypatch):
+    expected = _expanded_exports()
+    for module, name in EXPANSION:
+        _disable(monkeypatch, getattr(module, name), f"the export reached the expansion {name}")
+    with pytest.raises(AssertionError, match="expansion build_Q"):
+        potentials_mod.build_Q(N, K)
+    assert _cli_exports() == expected
 
 
 def _swap_a0_a1(coefficients):
@@ -164,6 +221,78 @@ THEOREM_CHECKS = {
     "relation": potentials_mod.verify_relation,
     "theorem2": potentials_mod.verify_theorem_second,
 }
+
+
+def _a_shifted_by_one(coefficients):
+    # project then reads a[|I meet J| - 1]: an off-by-one intersection index
+    def mutant(n, k):
+        table = coefficients(n, k)
+        return dataclasses.replace(table, a=table.a[-1:] + table.a[:-1])
+
+    return mutant
+
+
+def _denominator_dropped(embed_in_factors):
+    def mutant(vec, slots, n):
+        return embed_in_factors(vec, slots, n) * vec.den
+
+    return mutant
+
+
+def _negated(apply_f):
+    return lambda x: -apply_f(x)
+
+
+def _last_pole_dropped(hamiltonian_apply):
+    # the pole sum runs over j < n instead of j <= n
+    def mutant(m, u, x):
+        out = hamiltonian_apply(m, u, x)
+        if m == x.n:
+            return out
+        return out - casimir_apply(x, m, x.n) * (1 / (u.u(m) - u.u(x.n)))
+
+    return mutant
+
+
+def _pole_sign_flipped(hamiltonian_apply):
+    # 1/(u_j - u_m) for 1/(u_m - u_j)
+    return lambda m, u, x: -hamiltonian_apply(m, u, x)
+
+
+# (check, module, name, mutant of it, (n, k)); the mutant is bound
+# wherever a package module bound the name.  locality at k = 1, where the
+# check pins its constant to 2/n
+OPERATOR_SENSITIVITY = [
+    ("relations", projection_mod, "coefficients", _a_shifted_by_one, (4, 2)),
+    ("locality", projection_mod, "embed_in_factors", _denominator_dropped, (4, 1)),
+    ("shapovalov-oracle", weight_space_mod, "apply_f", _negated, (4, 2)),
+    ("corollary", operators_mod, "hamiltonian_apply", _last_pole_dropped, (4, 2)),
+    ("hamiltonian-properties", operators_mod, "hamiltonian_apply", _pole_sign_flipped, (4, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "check,module,name,mutate,size",
+    OPERATOR_SENSITIVITY,
+    ids=[f"{check}-{name}" for check, _, name, _, _ in OPERATOR_SENSITIVITY],
+)
+def test_operator_check_fails_on_mutant(monkeypatch, check, module, name, mutate, size):
+    config = RunConfig(*size, checks=(check,))
+    run = registry()[check]
+    good = run(config)
+    assert good.passed
+    original = getattr(module, name)
+    _rebind(monkeypatch, original, mutate(original))
+    bad = run(config)
+    # memos filled under the mutant must not outlive it
+    _clear_package_caches()
+    assert not bad.passed
+    assert bad.cases_checked == good.cases_checked
+
+
+def test_every_check_has_a_sensitivity_row():
+    covered = {row[0] for row in SENSITIVITY + OPERATOR_SENSITIVITY}
+    assert covered == set(registry())
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (7, 2)], ids=["exhaustive", "stratified"])

@@ -1,10 +1,12 @@
 import weakref
 from fractions import Fraction
 from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
 import gaudin_potentials.potentials as potentials_mod
+from gaudin_potentials.cli import main
 from gaudin_potentials.potentials import (
     PotentialConstants,
     _double_partial,
@@ -12,6 +14,7 @@ from gaudin_potentials.potentials import (
     build_P,
     build_Q,
     enumerate_alpha,
+    export_lines,
     lift_pairing,
     potential_constants,
     sample_pairs,
@@ -28,6 +31,7 @@ from gaudin_potentials.symbolic import (
     LogRationalExpr,
     Polynomial,
     Var,
+    dumps_expr,
     expr_equal,
     mono_degree,
 )
@@ -149,6 +153,50 @@ def test_build_Q_structure():
     assert Q.poly.is_zero
     assert not Q.dens
     assert set(Q.logs) == {LinearForm(p, q) for p, q in combinations(range(1, 5), 2)}
+
+
+EXPORT_SIZES = [(n, k) for n in range(2, 8) for k in range(1, n // 2 + 1)] + [(8, 3)]
+
+
+@pytest.mark.parametrize("kind", ["P", "Q"])
+@pytest.mark.parametrize("n,k", EXPORT_SIZES)
+def test_streamed_export_matches_dumps_oracle(tmp_path, capsys, n, k, kind):
+    if kind == "P":
+        expected = dumps_expr(LogRationalExpr.from_polynomial(build_P(n, k)))
+    else:
+        expected = dumps_expr(build_Q(n, k))
+    args = ["potential", "--n", str(n), "--k", str(k), "--kind", kind]
+    assert main(args) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / "export.txt"
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def _walk_terms(n, k):
+    # sum over c cross levels of C(k, c) n! / (2^c (n-k-c)!)
+    return sum(comb(k, c) * factorial(n) // (2**c * factorial(n - k - c)) for c in range(k + 1))
+
+
+@pytest.mark.parametrize("n,k", [(9, 4), (12, 3)])
+def test_streamed_export_term_counts(n, k):
+    # beyond the oracle's reach: one line per monomial, one header per section
+    assert sum(1 for _ in export_lines(n, k, "P")) == 1 + _walk_terms(n, k)
+    # each LOG p q section: z_p^2, z_p z_q or z_q^2 at level 1, times
+    # the monomials of k-1 levels on the other n-2 indices
+    sections = comb(n, 2)
+    assert sum(1 for _ in export_lines(n, k, "Q")) == sections * (1 + 3 * _walk_terms(n - 2, k - 1))
+
+
+def test_potential_usage_error_creates_no_file(tmp_path, capsys):
+    out = tmp_path / "f"
+    with pytest.raises(SystemExit) as exc:
+        main(["potential", "--n", "3", "--k", "2", "--kind", "P", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: gaudin-potentials potential")
+    assert not out.exists()
+    with pytest.raises(ValueError, match="kind"):
+        next(export_lines(4, 2, "R"))
 
 
 def test_build_rejects_bad_sizes():
