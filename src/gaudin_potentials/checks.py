@@ -238,5 +238,5 @@ def registry() -> dict[str, Callable]:
         ),
         "theorem1": lambda cfg: verify_theorem_first(cfg.n, cfg.k),
         "relation": lambda cfg: verify_relation(cfg.n, cfg.k),
-        "theorem2": lambda cfg: verify_theorem_second(cfg.n, cfg.k, z_points=cfg.z_points()),
+        "theorem2": lambda cfg: verify_theorem_second(cfg.n, cfg.k, points=cfg.parameter_points()),
     }

@@ -9,22 +9,17 @@ elapsed-time fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
+from typing import ContextManager, TextIO
 
 from .checks import registry
 from .operators import ParameterPoint, hamiltonian_pairing
-from .points import (
-    DEFAULT_POINT_COUNT,
-    deterministic_parameter_points,
-    deterministic_z_points,
-    random_parameter_points,
-    random_z_points,
-)
+from .points import DEFAULT_POINT_COUNT, deterministic_parameter_points, random_parameter_points
 from .potentials import export_lines
 from .projection import coefficients, pairing_closed_form
 from .report import CheckReport
@@ -47,12 +42,6 @@ class RunConfig:
         pts = deterministic_parameter_points(self.n)
         if self.seed is not None:
             pts += random_parameter_points(self.n, self.points, self.seed)
-        return pts
-
-    def z_points(self) -> list[dict]:
-        pts = deterministic_z_points(self.n, self.k)
-        if self.seed is not None:
-            pts += random_z_points(self.n, self.k, self.points, self.seed)
         return pts
 
 
@@ -92,11 +81,15 @@ def render_text_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _open_out(parser: argparse.ArgumentParser, out: str | None) -> ContextManager[TextIO]:
+    """The --out file opened for writing, or stdout.  Opened before any
+    work, so an unwritable path is a usage error, not a lost result."""
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w", encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"--out {out}: {exc.strerror or exc}")
 
 
 def _parse_subset_arg(parser: argparse.ArgumentParser, n: int, k: int, raw: str, name: str) -> SubsetIndex:
@@ -142,36 +135,34 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         seed=args.seed,
         points=DEFAULT_POINT_COUNT if args.points is None else args.points,
     )
-    status, report = run_checks(config)
-    if args.format == "json":
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
-    else:
-        _emit(render_text_report(report), args.out)
+    with _open_out(parser, args.out) as out:
+        status, report = run_checks(config)
+        if args.format == "json":
+            out.write(json.dumps(report, indent=2) + "\n")
+        else:
+            out.write(render_text_report(report))
     return status
 
 
 def cmd_tables(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_sizes(parser, args.n, args.k)
-    table = coefficients(args.n, args.k)
-    lines = [f"n={args.n} k={args.k}"]
-    for ell, val in enumerate(table.a):
-        lines.append(f"a[{ell}] = {val}")
-    for ell, val in enumerate(table.b):
-        lines.append(f"b[{ell}] = {val}")
-    for ell, val in enumerate(table.a):
-        lines.append(f"pairing(|I∩J|={ell}) = {val}")
-    _emit("\n".join(lines) + "\n", args.out)
+    with _open_out(parser, args.out) as out:
+        table = coefficients(args.n, args.k)
+        lines = [f"n={args.n} k={args.k}"]
+        for ell, val in enumerate(table.a):
+            lines.append(f"a[{ell}] = {val}")
+        for ell, val in enumerate(table.b):
+            lines.append(f"b[{ell}] = {val}")
+        for ell, val in enumerate(table.a):
+            lines.append(f"pairing(|I∩J|={ell}) = {val}")
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_potential(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_sizes(parser, args.n, args.k)
-    lines = export_lines(args.n, args.k, args.kind)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    else:
-        sys.stdout.writelines(lines)
+    with _open_out(parser, args.out) as out:
+        out.writelines(export_lines(args.n, args.k, args.kind))
     return 0
 
 
@@ -179,12 +170,11 @@ def cmd_pair(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _validate_sizes(parser, args.n, args.k)
     I = _parse_subset_arg(parser, args.n, args.k, args.I, "I")
     J = _parse_subset_arg(parser, args.n, args.k, args.J, "J")
-    if args.m is None:
-        _emit(f"{pairing_closed_form(I, J)}\n", args.out)
-    else:
-        if not 1 <= args.m <= args.n:
-            parser.error(f"--m must lie in 1..{args.n}")
-        _emit(f"{hamiltonian_pairing(args.m, I, J)}\n", args.out)
+    if args.m is not None and not 1 <= args.m <= args.n:
+        parser.error(f"--m must lie in 1..{args.n}")
+    with _open_out(parser, args.out) as out:
+        value = pairing_closed_form(I, J) if args.m is None else hamiltonian_pairing(args.m, I, J)
+        out.write(f"{value}\n")
     return 0
 
 

@@ -173,7 +173,7 @@ def evaluate_basis_action(
 
 @dataclass(frozen=True)
 class PairingFunction:
-    """An exact rational function sum of c/(u_p - u_q) plus a constant.
+    """An exact rational function sum of c/(u_p - u_q).
 
     Pole pairs are normalized to p < q with the sign absorbed into the
     coefficient, and zero coefficients are dropped, so equal functions
@@ -181,46 +181,32 @@ class PairingFunction:
     """
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
-    constant: Fraction
 
     @classmethod
-    def from_raw(cls, raw: dict[tuple[int, int], Fraction], constant=ZERO) -> "PairingFunction":
+    def from_raw(cls, raw: dict[tuple[int, int], Fraction]) -> "PairingFunction":
         merged: dict[tuple[int, int], Fraction] = {}
         for (a, b), c in raw.items():
             if a == b:
                 raise ValueError("degenerate pole u_a - u_a")
             key, sign = ((a, b), 1) if a < b else ((b, a), -1)
             merged[key] = merged.get(key, ZERO) + sign * c
-        kept = tuple(sorted((pq, c) for pq, c in merged.items() if c))
-        return cls(kept, Fraction(constant))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms and not self.constant
+        return cls(tuple(sorted((pq, c) for pq, c in merged.items() if c)))
 
     def evaluate(self, u: ParameterPoint) -> Fraction:
-        total = self.constant
+        total = ZERO
         for (p, q), c in self.terms:
             total += c / (u.u(p) - u.u(q))
         return total
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.terms:
             return "0"
-        chunks = []
-        for (p, q), c in self.terms:
+        out = []
+        for pos, ((p, q), c) in enumerate(self.terms):
             mag = c if c > 0 else -c
             coeff = str(mag) if mag.denominator == 1 else f"({mag})"
-            chunks.append((c < 0, f"{coeff}/(u_{p}-u_{q})"))
-        if self.constant:
-            mag = self.constant if self.constant > 0 else -self.constant
-            chunks.append((self.constant < 0, str(mag)))
-        out = []
-        for pos, (negative, body) in enumerate(chunks):
-            if pos == 0:
-                out.append(("-" if negative else "") + body)
-            else:
-                out.append(("- " if negative else "+ ") + body)
+            sign = ("-" if c < 0 else "") if pos == 0 else ("- " if c < 0 else "+ ")
+            out.append(f"{sign}{coeff}/(u_{p}-u_{q})")
         return " ".join(out)
 
 

@@ -1,7 +1,9 @@
-"""Deterministic and seeded evaluation point schedules.
+"""The one evaluation point schedule every point-based check shares.
 
-Theorem checks evaluate at small distinct integers by default (level
-offset 100*j plus a prime per index), so denominators stay small and
+A point is a tuple of pairwise-distinct exact rationals u_1, ..., u_n.
+The operator checks apply the Hamiltonians there, and theorem2
+evaluates its reduced derivatives at z^(1) = u.  The deterministic pass
+takes consecutive blocks of n primes, so denominators stay small and
 every run is reproducible.  A seed adds extra random rational points on
 top of the deterministic pass, never replacing it.
 """
@@ -13,7 +15,6 @@ import random
 from fractions import Fraction
 
 from .operators import ParameterPoint
-from .symbolic import Var
 
 DEFAULT_POINT_COUNT = 3
 
@@ -35,33 +36,17 @@ def primes(count: int) -> list[int]:
         bound *= 2
 
 
-def _prime_blocks(n: int, count: int) -> list[list[int]]:
-    """`count` consecutive blocks of n primes, pairwise distinct overall."""
-    ps = primes(count * n)
-    return [ps[r * n : (r + 1) * n] for r in range(count)]
-
-
-def deterministic_parameter_points(n: int, count: int = DEFAULT_POINT_COUNT) -> list[ParameterPoint]:
-    """`count` parameter points with pairwise-distinct prime coordinates."""
-    return [ParameterPoint.of(block) for block in _prime_blocks(n, count)]
-
-
-def deterministic_z_points(n: int, k: int, count: int = DEFAULT_POINT_COUNT) -> list[dict[Var, Fraction]]:
-    """Full variable grids z_i^(j) = 100*j + prime(i), one prime block per pass."""
-    return [
-        {Var(i, j): Fraction(100 * j + block[i - 1]) for i in range(1, n + 1) for j in range(1, k + 1)}
-        for block in _prime_blocks(n, count)
-    ]
-
-
-def _random_row(rng: random.Random, n: int) -> list[Fraction]:
-    return [Fraction(rng.randint(-9999, 9999), rng.randint(1, 64)) for _ in range(n)]
+def deterministic_parameter_points(n: int) -> list[ParameterPoint]:
+    """DEFAULT_POINT_COUNT points, consecutive blocks of n primes, so all
+    coordinates are pairwise distinct."""
+    ps = primes(DEFAULT_POINT_COUNT * n)
+    return [ParameterPoint.of(ps[r * n : (r + 1) * n]) for r in range(DEFAULT_POINT_COUNT)]
 
 
 def _distinct_row(rng: random.Random, n: int) -> list[Fraction]:
     """Draw rows of n random rationals until one has distinct entries."""
     while True:
-        row = _random_row(rng, n)
+        row = [Fraction(rng.randint(-9999, 9999), rng.randint(1, 64)) for _ in range(n)]
         if len(set(row)) == n:
             return row
 
@@ -70,13 +55,3 @@ def random_parameter_points(n: int, count: int, seed: int) -> list[ParameterPoin
     """Seeded random rational points with distinct coordinates."""
     rng = random.Random(seed)
     return [ParameterPoint(tuple(_distinct_row(rng, n))) for _ in range(count)]
-
-
-def random_z_points(n: int, k: int, count: int, seed: int) -> list[dict[Var, Fraction]]:
-    """Seeded random variable grids with distinct level-1 coordinates."""
-    rng = random.Random(seed)
-    points: list[dict[Var, Fraction]] = []
-    for _ in range(count):
-        rows = [_distinct_row(rng, n)] + [_random_row(rng, n) for _ in range(2, k + 1)]
-        points.append({Var(i, j): rows[j - 1][i - 1] for j in range(1, k + 1) for i in range(1, n + 1)})
-    return points

@@ -24,7 +24,7 @@ from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .operators import PairingFunction, ParameterPoint, hamiltonian_apply, hamiltonian_pairing
-from .points import deterministic_parameter_points, deterministic_z_points
+from .points import deterministic_parameter_points
 from .projection import coefficients, project
 from .report import CheckReport
 from .symbolic import (
@@ -284,10 +284,8 @@ def _double_partial(cache: DerivativeCache, I: SubsetIndex, J: SubsetIndex):
 def lift_pairing(pf: PairingFunction) -> LogRationalExpr:
     """View a pairing function as a log-rational expression in the
     level-1 variables (u_i becomes z_i^(1))."""
-    dens = {}
-    for (p, q), c in pf.terms:
-        dens[LinearForm(p, q)] = {1: Polynomial.constant(c)}
-    return LogRationalExpr(poly=Polynomial.constant(pf.constant), dens=dens)
+    dens = {LinearForm(p, q): {1: Polynomial.constant(c)} for (p, q), c in pf.terms}
+    return LogRationalExpr(dens=dens)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +341,11 @@ def verify_theorem_first(n: int, k: int) -> CheckReport:
 
 
 def verify_theorem_second(
-    n: int, k: int, z_points: Sequence[dict[Var, Fraction]] | None = None
+    n: int, k: int, points: Sequence[ParameterPoint] | None = None
 ) -> CheckReport:
     """Third-order derivatives of the second potential equal the reduced
-    Hamiltonian pairings, both structurally and at exact points.
+    Hamiltonian pairings, both structurally and at exact points, where
+    each derivative is evaluated at z^(1) = u.
 
     Each derivative must also be log-free with simple poles only.
     """
@@ -354,8 +353,9 @@ def verify_theorem_second(
     rep = CheckReport("theorem2")
     Q = build_Q(n, k)
     cache = DerivativeCache(Q)
-    pts = list(z_points) if z_points is not None else deterministic_z_points(n, k)
-    u_points = [ParameterPoint(tuple(pt[Var(i, 1)] for i in range(1, n + 1))) for pt in pts]
+    pts = list(points) if points is not None else deterministic_parameter_points(n)
+    # a reduced derivative equal to a lifted pairing holds level-1 variables only
+    level1 = [{Var(i, 1): v for i, v in enumerate(u.values, start=1)} for u in pts]
     for I, J in sample_pairs(n, k):
         S = _double_partial(cache, I, J)
         for m in range(1, n + 1):
@@ -372,8 +372,8 @@ def verify_theorem_second(
                 ok = E == lift_pairing(pf).reduced()
                 reason = "structural mismatch with operator pairing"
             if ok:
-                for pt, up in zip(pts, u_points):
-                    if E.evaluate(pt) != pf.evaluate(up):
+                for u, z in zip(pts, level1):
+                    if E.evaluate(z) != pf.evaluate(u):
                         ok = False
                         reason = "pointwise mismatch with operator pairing"
                         break
@@ -381,26 +381,23 @@ def verify_theorem_second(
     return rep
 
 
-def verify_relation(
-    n: int, k: int, constants: PotentialConstants | None = None
-) -> CheckReport:
+def verify_relation(n: int, k: int) -> CheckReport:
     """The Euler-type relation tying the two potentials together:
     (1/c1) * D_I D_J P equals (1/c2) * sum_m z_m * d/dz_m D_I D_J Q."""
     _require_sizes(n, k)
     rep = CheckReport("relation")
-    true_consts = potential_constants(n, k)
-    consts = constants if constants is not None else true_consts
+    consts = potential_constants(n, k)
     pairs = sample_pairs(n, k)
     # one accumulation gives both potentials; the left sides are
     # constants, so P's memo is freed before Q's is built
     sums = _square_sums(n, k)
-    cache_p = DerivativeCache(_first_kind(sums, true_consts.c1))
+    cache_p = DerivativeCache(_first_kind(sums, consts.c1))
     lhs_all = [
         LogRationalExpr.from_polynomial(_double_partial(cache_p, I, J) * (1 / consts.c1))
         for I, J in pairs
     ]
     del cache_p
-    cache_q = DerivativeCache(_second_kind(sums, true_consts.c2))
+    cache_q = DerivativeCache(_second_kind(sums, consts.c2))
     del sums
     for (I, J), lhs in zip(pairs, lhs_all):
         S = _double_partial(cache_q, I, J)

@@ -75,3 +75,31 @@ def test_report_json_shape():
         assert keys[:4] == ["name", "status", "cases_checked", "first_failure"]
         assert keys[-1] == "elapsed_s"
     json.dumps(report)  # serializable
+
+
+def test_theorem2_and_corollary_share_one_schedule(monkeypatch):
+    # theorem2 evaluates at z^(1) = u on the points the operator checks use
+    import gaudin_potentials.operators as operators_mod
+    import gaudin_potentials.potentials as potentials_mod
+
+    config = RunConfig(5, 2, checks=("theorem2", "corollary"), seed=3, points=2)
+    seen = {"theorem2": [], "corollary": []}
+    evaluate = operators_mod.PairingFunction.evaluate
+    apply = potentials_mod.hamiltonian_apply
+
+    def recording_evaluate(pf, u):
+        seen["theorem2"].append(u)
+        return evaluate(pf, u)
+
+    def recording_apply(m, u, x):
+        seen["corollary"].append(u)
+        return apply(m, u, x)
+
+    monkeypatch.setattr(operators_mod.PairingFunction, "evaluate", recording_evaluate)
+    monkeypatch.setattr(potentials_mod, "hamiltonian_apply", recording_apply)
+    reg = checks_mod.registry()
+    assert all(reg[name](config).passed for name in config.checks)
+    expected = config.parameter_points()
+    assert len(expected) == 5
+    for name, points in seen.items():
+        assert list(dict.fromkeys(points)) == expected, name

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import gaudin_potentials.checks as checks_mod
+import gaudin_potentials.cli as cli_mod
 from gaudin_potentials.cli import main
 from gaudin_potentials.potentials import build_Q
 from gaudin_potentials.symbolic import expr_equal, loads_expr
@@ -155,6 +156,36 @@ def test_verify_usage_errors(capsys):
         err = capsys.readouterr().err
         assert err.startswith("usage: gaudin-potentials verify")
         assert message in err
+
+
+# (subcommand arguments, the cli name that does its work)
+OUT_CASES = [
+    (["verify", "--n", "4", "--k", "2"], "run_checks"),
+    (["tables", "--n", "4", "--k", "2"], "coefficients"),
+    (["potential", "--n", "4", "--k", "2", "--kind", "P"], "export_lines"),
+    (["pair", "--n", "4", "--k", "2", "--I", "1,2", "--J", "3,4", "--m", "1"], "hamiltonian_pairing"),
+]
+
+
+@pytest.mark.parametrize("args,work", OUT_CASES, ids=[args[0] for args, _ in OUT_CASES])
+def test_unwritable_out_is_a_usage_error_before_any_work(tmp_path, monkeypatch, capsys, args, work):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError(f"{work} ran before --out was opened")
+
+    monkeypatch.setattr(cli_mod, work, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(tmp_path / "missing" / "out.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: gaudin-potentials {args[0]}")
+    assert "--out" in err
+    # a size error still leaves no file
+    out = tmp_path / "out.txt"
+    sized = [a if a != "4" else "3" for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main(sized + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def _strip_timings(report):

@@ -102,7 +102,7 @@ def test_basis_action_terms_n3():
 
 def test_basis_action_agrees_with_apply():
     for n, k in [(3, 1), (5, 2), (6, 3)]:
-        for u in deterministic_parameter_points(n, 2):
+        for u in deterministic_parameter_points(n)[:2]:
             for m in range(1, n + 1):
                 for I in subsets(n, k):
                     terms = hamiltonian_basis_action(m, I)
@@ -138,7 +138,7 @@ def test_pairing_example_n4_outside_case():
 
 def test_pairing_matches_operator_route():
     for n, k in [(2, 1), (4, 2), (6, 3)]:
-        pts = deterministic_parameter_points(n, 2)
+        pts = deterministic_parameter_points(n)[:2]
         all_subsets = subsets(n, k)
         for m in (1, n):
             for I in all_subsets[:4]:

@@ -8,6 +8,8 @@ construction rather than by reading, that the oracle is a second route.
 
 The streamed export is checked the other way round as well: with the
 symbolic expansion disabled, the CLI must still give the oracle's bytes.
+Every oracle of the north star, and every package function named as an
+oracle, must appear in some row.
 
 Two more tables show that every registry check can fail: one plausible
 mutant of a name its route reads must turn the report to fail while it
@@ -16,11 +18,16 @@ still checks the same cases.
 
 import contextlib
 import dataclasses
+import importlib
+import inspect
 import io
+import pkgutil
+import re
 import sys
 
 import pytest
 
+import gaudin_potentials
 import gaudin_potentials.checks as checks_mod
 import gaudin_potentials.cli as cli_mod
 import gaudin_potentials.operators as operators_mod
@@ -127,6 +134,39 @@ CASES = [
     for module, route, production, oracles in ROWS
     for name, oracle in oracles.items()
 ]
+
+
+# the north star's independent routes; each must have an independence row
+NORTH_STAR_ORACLES = {
+    "project_oracle",
+    "oracle_decompose",
+    "oracle_coefficients",
+    "casimir_apply",
+    "evaluate_basis_action",
+    "dumps_expr",
+}
+
+
+def test_every_oracle_has_an_independence_row():
+    named = {word for _, _, _, oracles in ROWS for key in oracles for word in re.findall(r"\w+", key)}
+    assert NORTH_STAR_ORACLES <= named
+    # an oracle added to the package without a row fails here
+    modules = [
+        importlib.import_module(f"gaudin_potentials.{info.name}")
+        for info in pkgutil.iter_modules(gaudin_potentials.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+    ]
+    package_oracles = {
+        name
+        for module in modules
+        for name, obj in vars(module).items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == module.__name__
+        and "oracle" in name
+        and not name.startswith("check_")
+    }
+    assert package_oracles
+    assert package_oracles <= NORTH_STAR_ORACLES
 
 
 def _clear_package_caches():

@@ -1,30 +1,15 @@
 from fractions import Fraction
 
-from gaudin_potentials.points import (
-    deterministic_parameter_points,
-    deterministic_z_points,
-    random_parameter_points,
-    random_z_points,
-)
-from gaudin_potentials.symbolic import Var
+from gaudin_potentials.points import deterministic_parameter_points, random_parameter_points
 
 
 def _fractions(texts):
     return tuple(Fraction(t) for t in texts)
 
 
-def _by_level(grid, n, k):
-    return [tuple(grid[Var(i, j)] for i in range(1, n + 1)) for j in range(1, k + 1)]
-
-
 def test_deterministic_schedules_are_pinned():
     blocks = [(2, 3, 5, 7, 11), (13, 17, 19, 23, 29), (31, 37, 41, 43, 47)]
     assert [u.values for u in deterministic_parameter_points(5)] == [_fractions(b) for b in blocks]
-    grids = deterministic_z_points(5, 2)
-    assert [sorted(g) for g in grids] == [sorted(Var(i, j) for i in range(1, 6) for j in (1, 2))] * 3
-    assert [_by_level(g, 5, 2) for g in grids] == [
-        [_fractions(100 + p for p in b), _fractions(200 + p for p in b)] for b in blocks
-    ]
 
 
 # Seeded points feed the reports and the benchmark's cost, so the draw
@@ -39,7 +24,5 @@ SEED_7_ROWS = [
 
 def test_seeded_schedules_are_pinned():
     rows = [_fractions(r) for r in SEED_7_ROWS]
+    assert [u.values for u in random_parameter_points(5, 4, 7)] == rows
     assert [u.values for u in random_parameter_points(5, 2, 7)] == rows[:2]
-    grids = random_z_points(5, 2, 2, 7)
-    assert [len(g) for g in grids] == [10, 10]
-    assert [_by_level(g, 5, 2) for g in grids] == [rows[:2], rows[2:]]

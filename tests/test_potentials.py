@@ -8,7 +8,6 @@ import pytest
 import gaudin_potentials.potentials as potentials_mod
 from gaudin_potentials.cli import main
 from gaudin_potentials.potentials import (
-    PotentialConstants,
     _double_partial,
     alpha_count,
     build_P,
@@ -279,14 +278,6 @@ def test_relation_hand_case_and_small():
         report = verify_relation(n, k)
         assert report.passed
         assert report.cases_checked == len(sample_pairs(n, k))
-
-
-def test_relation_failure_injection():
-    good = potential_constants(4, 2)
-    bad = PotentialConstants(good.c1, good.c2 + 1)
-    report = verify_relation(4, 2, constants=bad)
-    assert not report.passed
-    assert report.first_failure is not None
 
 
 @pytest.mark.parametrize("n,k", [(5, 2), (8, 3)])  # exhaustive, stratified
