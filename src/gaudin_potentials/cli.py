@@ -13,9 +13,8 @@ import contextlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import ContextManager, TextIO
+from typing import ContextManager, NamedTuple, TextIO
 
 from .checks import registry
 from .operators import ParameterPoint, hamiltonian_pairing
@@ -28,8 +27,7 @@ from .weight_space import MAX_N, SubsetIndex
 USAGE_ERROR = 2
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully explicit configuration of one `verify` run."""
 
     n: int
@@ -128,13 +126,8 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         parser.error(f"unknown checks: {', '.join(unknown)} (known: {', '.join(reg)}, all)")
     # keep default execution order, drop duplicates
     selected = tuple(name for name in reg if "all" in args.check or name in args.check)
-    config = RunConfig(
-        n=args.n,
-        k=args.k,
-        checks=selected,
-        seed=args.seed,
-        points=DEFAULT_POINT_COUNT if args.points is None else args.points,
-    )
+    points = DEFAULT_POINT_COUNT if args.points is None else args.points
+    config = RunConfig(args.n, args.k, selected, seed=args.seed, points=points)
     with _open_out(parser, args.out) as out:
         status, report = run_checks(config)
         if args.format == "json":

@@ -12,7 +12,6 @@ exact rational functions with degree-one denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -29,21 +28,22 @@ from .weight_space import (
     rational,
     subset_masks,
     subsets,
+    validated_namedtuple,
     zero_vector,
 )
 
 
-@dataclass(frozen=True)
-class ParameterPoint:
+class ParameterPoint(validated_namedtuple("ParameterPoint", "values")):
     """Pairwise-distinct exact rational parameters u_1, ..., u_n."""
 
-    values: tuple[Fraction, ...]
+    # no __slots__: cached_property keeps the pole weights in the instance __dict__
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(v, (int, Fraction)) for v in self.values):
+    def __new__(cls, values: tuple[Fraction, ...]) -> "ParameterPoint":
+        if not all(isinstance(v, (int, Fraction)) for v in values):
             raise TypeError("parameter coordinates must be exact rationals (int or Fraction)")
-        if len(set(self.values)) != len(self.values):
+        if len(set(values)) != len(values):
             raise ValueError("parameter coordinates must be pairwise distinct")
+        return tuple.__new__(cls, (values,))
 
     @classmethod
     def of(cls, values) -> "ParameterPoint":
@@ -171,8 +171,7 @@ def evaluate_basis_action(
     return total
 
 
-@dataclass(frozen=True)
-class PairingFunction:
+class PairingFunction(NamedTuple):
     """An exact rational function sum of c/(u_p - u_q).
 
     Pole pairs are normalized to p < q with the sign absorbed into the

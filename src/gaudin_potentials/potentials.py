@@ -18,10 +18,9 @@ indices, without expanding them; `build_P`/`build_Q` followed by
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .operators import PairingFunction, ParameterPoint, hamiltonian_apply, hamiltonian_pairing
 from .points import deterministic_parameter_points
@@ -78,8 +77,7 @@ def enumerate_alpha(n: int, k: int) -> Iterator[PairSequence]:
     return rec(0, k)
 
 
-@dataclass(frozen=True)
-class PotentialConstants:
+class PotentialConstants(NamedTuple):
     """Normalizing constants of the two potentials; c2/c1 = -k(n-k+1)."""
 
     c1: Fraction
@@ -351,9 +349,12 @@ def verify_theorem_second(
     """
     _require_sizes(n, k)
     rep = CheckReport("theorem2")
+    pts = list(points) if points is not None else deterministic_parameter_points(n)
+    for u in pts:
+        if u.n != n:
+            raise ValueError(f"parameter point has {u.n} coordinates, expected {n}")
     Q = build_Q(n, k)
     cache = DerivativeCache(Q)
-    pts = list(points) if points is not None else deterministic_parameter_points(n)
     # a reduced derivative equal to a lifted pairing holds level-1 variables only
     level1 = [{Var(i, 1): v for i, v in enumerate(u.values, start=1)} for u in pts]
     for I, J in sample_pairs(n, k):

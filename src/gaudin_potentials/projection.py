@@ -11,10 +11,10 @@ Gram system of the lowered basis with exact Gaussian elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .weight_space import (
     ONE,
@@ -32,8 +32,7 @@ from .weight_space import (
 )
 
 
-@dataclass(frozen=True)
-class ProjectionCoefficients:
+class ProjectionCoefficients(NamedTuple):
     """Coefficient tables of the projection at fixed (n, k).
 
     a[l] is the pairing of two projected basis vectors whose subsets meet

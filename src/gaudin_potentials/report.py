@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
 class CheckReport:
     """Outcome of one named check.
 
@@ -16,11 +13,13 @@ class CheckReport:
     set by the runner that times the check.
     """
 
-    name: str
-    cases_checked: int = 0
-    first_failure: dict | None = None
     details: dict | None = None
     elapsed_s: float = 0.0
+
+    def __init__(self, name: str, cases_checked: int = 0, first_failure: dict | None = None) -> None:
+        self.name = name
+        self.cases_checked = cases_checked
+        self.first_failure = first_failure
 
     @property
     def passed(self) -> bool:

@@ -25,14 +25,13 @@ Serialization round-trips bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import re
 
-from .weight_space import rational
+from .weight_space import rational, validated_namedtuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -214,16 +213,15 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True, order=True)
-class LinearForm:
+class LinearForm(validated_namedtuple("LinearForm", "p q")):
     """The level-1 difference z_p^(1) - z_q^(1), normalized to p < q."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.p < self.q:
-            raise ValueError(f"linear form requires 1 <= p < q, got ({self.p}, {self.q})")
+    def __new__(cls, p: int, q: int) -> "LinearForm":
+        if not 1 <= p < q:
+            raise ValueError(f"linear form requires 1 <= p < q, got ({p}, {q})")
+        return tuple.__new__(cls, (p, q))
 
     def sign_of(self, v: Var) -> int:
         if v.j != 1:

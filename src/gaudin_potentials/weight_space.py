@@ -14,7 +14,7 @@ timings are floats), and scalars must be `int` or `Fraction`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -73,19 +73,26 @@ def _mask_elements(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SubsetIndex:
+def validated_namedtuple(name: str, fields: str) -> type:
+    """A namedtuple base whose `_make`, and so `_replace`, builds through
+    the subclass's validating `__new__` rather than `tuple.__new__`."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class SubsetIndex(validated_namedtuple("SubsetIndex", "n mask")):
     """A subset of {1, ..., n} as a bitmask (bit i-1 holds element i)."""
 
-    n: int
-    mask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"ambient size n={self.n} must lie in 1..{MAX_N}")
-        if self.mask < 0 or self.mask >> self.n:
-            bad = _mask_elements(self.mask)
-            raise ValueError(f"subset {bad} does not fit inside {{1,...,{self.n}}}")
+    def __new__(cls, n: int, mask: int) -> "SubsetIndex":
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"ambient size n={n} must lie in 1..{MAX_N}")
+        if mask < 0 or mask >> n:
+            bad = _mask_elements(mask)
+            raise ValueError(f"subset {bad} does not fit inside {{1,...,{n}}}")
+        return tuple.__new__(cls, (n, mask))
 
     @classmethod
     def of(cls, n: int, elements: Iterable[int]) -> "SubsetIndex":
@@ -133,8 +140,7 @@ def subset_rank(ix: SubsetIndex) -> int:
     return _mask_rank(ix.n, ix.size)[ix.mask]
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(validated_namedtuple("WeightVector", "n k nums den")):
     """Element of the weight-(n-2k) space: integer numerators over one
     positive denominator.
 
@@ -144,21 +150,26 @@ class WeightVector:
     spaces whose only vector is the zero vector (nums = ()).
     """
 
-    n: int
-    k: int
-    nums: tuple[int, ...]
-    den: int = 1
+    __slots__ = ()
+    __hash__ = tuple.__hash__
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"ambient size n={self.n} must lie in 1..{MAX_N}")
-        if len(self.nums) != weight_dim(self.n, self.k):
+    def __new__(cls, n: int, k: int, nums: tuple[int, ...], den: int = 1) -> "WeightVector":
+        if not 1 <= n <= MAX_N:
+            raise ValueError(f"ambient size n={n} must lie in 1..{MAX_N}")
+        if len(nums) != weight_dim(n, k):
             raise ValueError(
-                f"coefficient array has length {len(self.nums)}, "
-                f"expected C({self.n},{self.k}) = {weight_dim(self.n, self.k)}"
+                f"coefficient array has length {len(nums)}, "
+                f"expected C({n},{k}) = {weight_dim(n, k)}"
             )
-        if self.den < 1 or gcd(self.den, *self.nums) != 1:
-            raise ValueError(f"numerators over denominator {self.den} are not in lowest terms")
+        if den < 1 or gcd(den, *nums) != 1:
+            raise ValueError(f"numerators over denominator {den} are not in lowest terms")
+        return tuple.__new__(cls, (n, k, nums, den))
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     @classmethod
     def over(cls, n: int, k: int, nums, den: int) -> "WeightVector":

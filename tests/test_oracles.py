@@ -17,7 +17,6 @@ still checks the same cases.
 """
 
 import contextlib
-import dataclasses
 import importlib
 import inspect
 import io
@@ -230,7 +229,7 @@ def _swap_a0_a1(coefficients):
         table = coefficients(n, k)
         a = list(table.a)
         a[0], a[1] = a[1], a[0]
-        return dataclasses.replace(table, a=tuple(a))
+        return table._replace(a=tuple(a))
 
     return mutant
 
@@ -242,7 +241,7 @@ def _doubled(build):
 def _first_pole_dropped(hamiltonian_pairing):
     def mutant(m, I, J):
         pf = hamiltonian_pairing(m, I, J)
-        return dataclasses.replace(pf, terms=pf.terms[1:])
+        return pf._replace(terms=pf.terms[1:])
 
     return mutant
 
@@ -267,7 +266,7 @@ def _a_shifted_by_one(coefficients):
     # project then reads a[|I meet J| - 1]: an off-by-one intersection index
     def mutant(n, k):
         table = coefficients(n, k)
-        return dataclasses.replace(table, a=table.a[-1:] + table.a[:-1])
+        return table._replace(a=table.a[-1:] + table.a[:-1])
 
     return mutant
 

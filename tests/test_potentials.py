@@ -322,6 +322,12 @@ def test_corollary_rejects_bad_point():
         verify_corollary(4, 2, points=deterministic_parameter_points(5))
 
 
+def test_theorem_second_rejects_bad_point_before_building(monkeypatch):
+    monkeypatch.setattr(potentials_mod, "build_Q", lambda n, k: pytest.fail("Q was built"))
+    with pytest.raises(ValueError, match="parameter point has 5 coordinates, expected 4"):
+        verify_theorem_second(4, 2, points=deterministic_parameter_points(5))
+
+
 def test_stratified_samples_cover_all_cases():
     for n in (7, 8):
         k = 3

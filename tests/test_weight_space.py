@@ -8,7 +8,9 @@ from strategies import dense_vectors
 
 from gaudin_potentials.operators import ParameterPoint, casimir_apply, hamiltonian_apply
 from gaudin_potentials.projection import _gauss_jordan, embed_in_factors, project
+from gaudin_potentials.symbolic import LinearForm
 from gaudin_potentials.weight_space import (
+    MAX_N,
     SubsetIndex,
     WeightVector,
     apply_e,
@@ -218,6 +220,44 @@ def test_float_scalar_is_refused():
         with pytest.raises(TypeError):
             bad()
     assert v * Fraction(1, 10) == WeightVector(3, 1, (1, 0, 0), 10)
+
+
+# a valid value, one field set to a value its guard refuses, and the error
+GUARDED_FIELDS = [
+    (SubsetIndex(4, 0b0011), {"mask": 0b10001}, ValueError),
+    (SubsetIndex(4, 0b0011), {"n": MAX_N + 1}, ValueError),
+    (WeightVector(2, 1, (2, 4), 3), {"den": 2}, ValueError),
+    (WeightVector(2, 1, (2, 4), 3), {"nums": (2, 4, 1)}, ValueError),
+    (LinearForm(1, 2), {"q": 1}, ValueError),
+    (ParameterPoint((1, 2)), {"values": (1, 1)}, ValueError),
+    (ParameterPoint((1, 2)), {"values": (1, 0.5)}, TypeError),
+]
+
+
+@pytest.mark.parametrize("value, bad, error", GUARDED_FIELDS)
+def test_value_types_keep_their_guards(value, bad, error):
+    cls = type(value)
+    fields = {**value._asdict(), **bad}
+    with pytest.raises(error):
+        cls(**fields)
+    with pytest.raises(error):
+        cls._make(fields.values())
+    with pytest.raises(error):
+        value._replace(**bad)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    assert cls._make(value) == value == value._replace()
+
+
+def test_weight_vector_never_equals_its_field_tuple():
+    v = WeightVector(2, 1, (2, 4), 3)
+    fields = (2, 1, (2, 4), 3)
+    assert v != fields and fields != v
+    assert not v == fields and not fields == v
+    assert v == WeightVector(2, 1, (2, 4), 3) and not v != WeightVector(2, 1, (2, 4), 3)
+    # hashed as its field tuple, as the frozen dataclass was, so set orders hold
+    assert hash(v) == hash(fields)
 
 
 def _in_lowest_terms(v):
