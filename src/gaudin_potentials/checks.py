@@ -21,7 +21,6 @@ from .operators import (
     hamiltonian_matrix,
     hamiltonian_pairing,
 )
-from .points import deterministic_parameter_points
 from .potentials import verify_corollary, verify_relation, verify_theorem_first, verify_theorem_second
 from .projection import (
     coefficients,
@@ -171,16 +170,13 @@ def check_locality(n: int, k: int) -> CheckReport:
     return rep
 
 
-def check_hamiltonian_properties(
-    n: int, k: int, points: Sequence[ParameterPoint] | None = None
-) -> CheckReport:
+def check_hamiltonian_properties(n: int, k: int, points: Sequence[ParameterPoint]) -> CheckReport:
     """Operator algebra at exact points: symmetry, commutativity, sl2
     equivariance, projector commutation, and agreement of the two
     independent application paths."""
     rep = CheckReport("hamiltonian-properties")
-    pts = list(points) if points is not None else deterministic_parameter_points(n)
     basis = [basis_vector(n, I) for I in subsets(n, k)]
-    for u in pts:
+    for u in points:
         columns = {m: hamiltonian_matrix(m, u, n, k) for m in range(1, n + 1)}
         for m in range(1, n + 1):
             mat = [col.coeffs for col in columns[m]]  # mat[c][r]: row r of column c

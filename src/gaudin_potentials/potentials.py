@@ -23,7 +23,6 @@ from math import comb, factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from .operators import PairingFunction, ParameterPoint, hamiltonian_apply, hamiltonian_pairing
-from .points import deterministic_parameter_points
 from .projection import coefficients, project
 from .report import CheckReport
 from .symbolic import (
@@ -338,9 +337,7 @@ def verify_theorem_first(n: int, k: int) -> CheckReport:
     return rep
 
 
-def verify_theorem_second(
-    n: int, k: int, points: Sequence[ParameterPoint] | None = None
-) -> CheckReport:
+def verify_theorem_second(n: int, k: int, points: Sequence[ParameterPoint]) -> CheckReport:
     """Third-order derivatives of the second potential equal the reduced
     Hamiltonian pairings, both structurally and at exact points, where
     each derivative is evaluated at z^(1) = u.
@@ -349,14 +346,13 @@ def verify_theorem_second(
     """
     _require_sizes(n, k)
     rep = CheckReport("theorem2")
-    pts = list(points) if points is not None else deterministic_parameter_points(n)
-    for u in pts:
+    for u in points:
         if u.n != n:
             raise ValueError(f"parameter point has {u.n} coordinates, expected {n}")
     Q = build_Q(n, k)
     cache = DerivativeCache(Q)
     # a reduced derivative equal to a lifted pairing holds level-1 variables only
-    level1 = [{Var(i, 1): v for i, v in enumerate(u.values, start=1)} for u in pts]
+    level1 = [{Var(i, 1): v for i, v in enumerate(u.values, start=1)} for u in points]
     for I, J in sample_pairs(n, k):
         S = _double_partial(cache, I, J)
         for m in range(1, n + 1):
@@ -373,7 +369,7 @@ def verify_theorem_second(
                 ok = E == lift_pairing(pf).reduced()
                 reason = "structural mismatch with operator pairing"
             if ok:
-                for u, z in zip(pts, level1):
+                for u, z in zip(points, level1):
                     if E.evaluate(z) != pf.evaluate(u):
                         ok = False
                         reason = "pointwise mismatch with operator pairing"
@@ -394,7 +390,7 @@ def verify_relation(n: int, k: int) -> CheckReport:
     sums = _square_sums(n, k)
     cache_p = DerivativeCache(_first_kind(sums, consts.c1))
     lhs_all = [
-        LogRationalExpr.from_polynomial(_double_partial(cache_p, I, J) * (1 / consts.c1))
+        LogRationalExpr(poly=_double_partial(cache_p, I, J) * (1 / consts.c1))
         for I, J in pairs
     ]
     del cache_p
@@ -402,7 +398,7 @@ def verify_relation(n: int, k: int) -> CheckReport:
     del sums
     for (I, J), lhs in zip(pairs, lhs_all):
         S = _double_partial(cache_q, I, J)
-        rhs = LogRationalExpr.zero()
+        rhs = LogRationalExpr()
         for m in range(1, n + 1):
             zm = Polynomial.variable(Var(m, 1))
             rhs = rhs + S.differentiate(Var(m, 1)).reduced() * zm
@@ -410,18 +406,13 @@ def verify_relation(n: int, k: int) -> CheckReport:
     return rep
 
 
-def verify_corollary(
-    n: int, k: int, points: Sequence[ParameterPoint] | None = None
-) -> CheckReport:
+def verify_corollary(n: int, k: int, points: Sequence[ParameterPoint]) -> CheckReport:
     """The weighted Hamiltonian sum acts on every projected basis vector
     as the scalar -k(n-k+1)."""
     _require_sizes(n, k)
     rep = CheckReport("corollary")
-    pts = list(points) if points is not None else deterministic_parameter_points(n)
     scalar = Fraction(-k * (n - k + 1))
-    for u in pts:
-        if u.n != n:
-            raise ValueError(f"parameter point has {u.n} coordinates, expected {n}")
+    for u in points:
         for I in subsets(n, k):
             v = project(basis_vector(n, I))
             acc = None

@@ -8,7 +8,9 @@ are sums
 where every L is a difference of two level-1 variables.  The class is
 closed under partial differentiation, which is all the verification
 machinery needs: potentials are log-polynomials in this class and their
-derivatives never leave it.
+derivatives never leave it.  Since d ln L = s/L and d L^-d = -d*s/L^(d+1),
+with s = dL/dz, ln L is stored as the power-0 part of L, and a
+derivative moves every part up one power.
 
 Monomials are sparse, terms are kept in a dict with zero coefficients
 dropped, and the printable form orders terms by descending graded
@@ -20,7 +22,9 @@ exchange format:
     DEN p q d                   section: numerator of 1/(z_p - z_q)^d
     <num>/<den> ; (i,j)^e ...   one term per line, canonical order
 
-Serialization round-trips bit-exactly.
+Each section is one part of the expression, so a section header, and a
+monomial within one section, appears at most once.  Serialization
+round-trips bit-exactly.
 """
 
 from __future__ import annotations
@@ -103,11 +107,6 @@ class Polynomial:
     @classmethod
     def variable(cls, v: Var) -> "Polynomial":
         return cls({((Var(*v), 1),): ONE})
-
-    @classmethod
-    def difference(cls, p: int, q: int, level: int) -> "Polynomial":
-        """The binomial z_p^(level) - z_q^(level)."""
-        return cls({((Var(p, level), 1),): ONE, ((Var(q, level), 1),): -ONE})
 
     @property
     def is_zero(self) -> bool:
@@ -236,24 +235,34 @@ class LinearForm(validated_namedtuple("LinearForm", "p q")):
         return point[Var(self.p, 1)] - point[Var(self.q, 1)]
 
 
-def _merge_den(
-    dens: dict[LinearForm, dict[int, Polynomial]], L: LinearForm, d: int, num: Polynomial
-) -> None:
-    if num.is_zero:
+def _merge(parts: dict, key, g: Polynomial) -> None:
+    """Add g to the part under key; a part that cancels is dropped."""
+    if g.is_zero:
         return
-    slot = dens.setdefault(L, {})
-    acc = slot.get(d)
-    acc = num if acc is None else acc + num
-    if acc.is_zero:
-        slot.pop(d, None)
+    acc = parts.get(key)
+    g = g if acc is None else acc + g
+    if g.is_zero:
+        del parts[key]
     else:
-        slot[d] = acc
+        parts[key] = g
+
+
+def _expr(parts: dict) -> "LogRationalExpr":
+    """Wrap parts that already hold no zero polynomial."""
+    res = LogRationalExpr.__new__(LogRationalExpr)
+    res.parts = parts
+    return res
 
 
 class LogRationalExpr:
-    """poly + sum of ln(L)*g_L + sum of P_{L,d}/L^d, closed under d/dz."""
+    """poly + sum of ln(L)*g_L + sum of P_{L,d}/L^d, closed under d/dz.
 
-    __slots__ = ("poly", "logs", "dens")
+    One map holds every part: key None the free polynomial, key (L, 0)
+    the coefficient of ln L and key (L, d), d >= 1, the numerator over
+    L^d.  No part is zero.
+    """
+
+    __slots__ = ("parts",)
 
     def __init__(
         self,
@@ -261,46 +270,30 @@ class LogRationalExpr:
         logs: Mapping[LinearForm, Polynomial] | None = None,
         dens: Mapping[LinearForm, Mapping[int, Polynomial]] | None = None,
     ):
-        self.poly = poly if poly is not None else Polynomial.zero()
-        self.logs = {L: g for L, g in (logs or {}).items() if not g.is_zero}
-        self.dens: dict[LinearForm, dict[int, Polynomial]] = {}
+        parts = {None: poly} if poly is not None else {}
+        parts.update(((L, 0), g) for L, g in (logs or {}).items())
         for L, by_pow in (dens or {}).items():
-            kept = {d: num for d, num in by_pow.items() if not num.is_zero}
-            if kept:
-                if min(kept) < 1:
+            for d, num in by_pow.items():
+                if d < 1:
                     raise ValueError("denominator powers must be >= 1")
-                self.dens[L] = kept
+                parts[L, d] = num
+        self.parts = {key: g for key, g in parts.items() if not g.is_zero}
 
-    @classmethod
-    def zero(cls) -> "LogRationalExpr":
-        return cls()
-
-    @classmethod
-    def from_polynomial(cls, p: Polynomial) -> "LogRationalExpr":
-        return cls(poly=p)
-
-    @classmethod
-    def constant(cls, c) -> "LogRationalExpr":
-        return cls(poly=Polynomial.constant(c))
-
-    @classmethod
-    def log_term(cls, L: LinearForm, g: Polynomial) -> "LogRationalExpr":
-        return cls(logs={L: g})
-
-    @classmethod
-    def den_term(cls, L: LinearForm, d: int, num: Polynomial) -> "LogRationalExpr":
-        return cls(dens={L: {d: num}})
+    @property
+    def logs(self) -> dict[LinearForm, Polynomial]:
+        """The coefficient of each ln L."""
+        return {key[0]: g for key, g in self.parts.items() if key and not key[1]}
 
     @property
     def is_zero(self) -> bool:
-        return self.poly.is_zero and not self.logs and not self.dens
+        return not self.parts
 
     @property
     def is_log_free(self) -> bool:
-        return not self.logs
+        return all(key is None or key[1] for key in self.parts)
 
     def denominator_powers(self) -> set[int]:
-        return {d for by_pow in self.dens.values() for d in by_pow}
+        return {key[1] for key in self.parts if key and key[1]}
 
     def __eq__(self, other) -> bool:
         """Structural equality (same normalized representation).
@@ -308,106 +301,68 @@ class LogRationalExpr:
         Mathematically equal expressions can differ here, for example
         L/L and 1; expr_equal compares their reduced forms instead.
         """
-        return (
-            isinstance(other, LogRationalExpr)
-            and self.poly == other.poly
-            and self.logs == other.logs
-            and self.dens == other.dens
-        )
+        return isinstance(other, LogRationalExpr) and self.parts == other.parts
 
     def __hash__(self):
         raise TypeError("LogRationalExpr is not hashable")
 
     def __add__(self, other: "LogRationalExpr") -> "LogRationalExpr":
-        logs = dict(self.logs)
-        for L, g in other.logs.items():
-            acc = logs.get(L)
-            acc = g if acc is None else acc + g
-            if acc.is_zero:
-                logs.pop(L, None)
-            else:
-                logs[L] = acc
-        dens = {L: dict(by_pow) for L, by_pow in self.dens.items()}
-        for L, by_pow in other.dens.items():
-            for d, num in by_pow.items():
-                _merge_den(dens, L, d, num)
-        dens = {L: by_pow for L, by_pow in dens.items() if by_pow}
-        res = LogRationalExpr.__new__(LogRationalExpr)
-        res.poly = self.poly + other.poly
-        res.logs = logs
-        res.dens = dens
-        return res
+        parts = dict(self.parts)
+        for key, g in other.parts.items():
+            _merge(parts, key, g)
+        return _expr(parts)
 
     def __sub__(self, other: "LogRationalExpr") -> "LogRationalExpr":
         return self + (-other)
 
     def __neg__(self) -> "LogRationalExpr":
-        res = LogRationalExpr.__new__(LogRationalExpr)
-        res.poly = -self.poly
-        res.logs = {L: -g for L, g in self.logs.items()}
-        res.dens = {
-            L: {d: -num for d, num in by_pow.items()} for L, by_pow in self.dens.items()
-        }
-        return res
+        return _expr({key: -g for key, g in self.parts.items()})
 
     def __mul__(self, other) -> "LogRationalExpr":
         """Multiply by a scalar or a Polynomial; the class is closed."""
         factor = other if isinstance(other, Polynomial) else Polynomial.constant(other)
-        return LogRationalExpr(
-            poly=self.poly * factor,
-            logs={L: g * factor for L, g in self.logs.items()},
-            dens={
-                L: {d: num * factor for d, num in by_pow.items()}
-                for L, by_pow in self.dens.items()
-            },
-        )
+        products = ((key, g * factor) for key, g in self.parts.items())
+        return _expr({key: g for key, g in products if not g.is_zero})
 
     __rmul__ = __mul__
 
     def differentiate(self, v: Var) -> "LogRationalExpr":
         """Exact partial derivative with respect to z_v.
 
+        Each part moves up one power of its L, s = dL/dz_v:
         d(ln L * g) = ln L * g' + s*g/L and
-        d(P/L^d)    = P'/L^d - d*s*P/L^(d+1), where s = dL/dz_v.
+        d(P/L^d)    = P'/L^d - d*s*P/L^(d+1).
         """
         v = Var(*v)
-        poly = self.poly.differentiate(v)
-        logs: dict[LinearForm, Polynomial] = {}
-        dens: dict[LinearForm, dict[int, Polynomial]] = {}
-        for L, g in self.logs.items():
-            dg = g.differentiate(v)
-            if not dg.is_zero:
-                logs[L] = dg
+        parts: dict = {}
+        for key, g in self.parts.items():
+            _merge(parts, key, g.differentiate(v))
+            if key is None:
+                continue
+            L, d = key
             s = L.sign_of(v)
             if s:
-                _merge_den(dens, L, 1, g if s > 0 else -g)
-        for L, by_pow in self.dens.items():
-            s = L.sign_of(v)
-            for d, num in by_pow.items():
-                _merge_den(dens, L, d, num.differentiate(v))
-                if s:
-                    _merge_den(dens, L, d + 1, num * Fraction(-d * s))
-        dens = {L: by_pow for L, by_pow in dens.items() if by_pow}
-        res = LogRationalExpr.__new__(LogRationalExpr)
-        res.poly = poly
-        res.logs = logs
-        res.dens = dens
-        return res
+                moved = (g if s > 0 else -g) if d == 0 else g * Fraction(-d * s)
+                _merge(parts, (L, d + 1), moved)
+        return _expr(parts)
 
     def evaluate(self, point: Mapping[Var, Fraction]) -> Fraction:
         """Exact value at a point; requires a log-free expression and no
         coincident level-1 coordinates on the denominators touched."""
-        if self.logs:
+        if not self.is_log_free:
             raise ValueError("expression contains log terms; its value is transcendental")
-        total = self.poly.evaluate(point)
-        for L, by_pow in self.dens.items():
+        total = ZERO
+        for key, g in self.parts.items():
+            if key is None:
+                total += g.evaluate(point)
+                continue
+            L, d = key
             lval = L.evaluate(point)
             if lval == 0:
                 raise ZeroDivisionError(
                     f"pole hit: z_{L.p}^(1) and z_{L.q}^(1) coincide at the evaluation point"
                 )
-            for d, num in by_pow.items():
-                total += num.evaluate(point) / lval**d
+            total += g.evaluate(point) / lval**d
         return total
 
     def reduced(self) -> "LogRationalExpr":
@@ -416,33 +371,29 @@ class LogRationalExpr:
         Exact division cascades quotients toward lower powers and finally
         into the free polynomial; the value is unchanged.
         """
-        poly = self.poly
-        dens: dict[LinearForm, dict[int, Polynomial]] = {}
-        for L, by_pow in self.dens.items():
-            work = dict(by_pow)
-            settled: dict[int, Polynomial] = {}
-            for d in range(max(work), 0, -1):
-                num = work.pop(d, None)
-                if num is None or num.is_zero:
+        work = dict(self.parts)
+        top: dict[LinearForm, int] = {}
+        for key in self.parts:
+            if key and key[1] > top.get(key[0], 0):
+                top[key[0]] = key[1]
+        settled: dict = {}
+        for L, D in top.items():
+            for d in range(D, 0, -1):
+                num = work.pop((L, d), None)
+                if num is None:
                     continue
                 quot, rem = divmod_linear(num, L)
                 if not rem.is_zero:
-                    settled[d] = rem
-                if quot.is_zero:
-                    continue
-                if d == 1:
-                    poly = poly + quot
-                else:
-                    work[d - 1] = work.get(d - 1, Polynomial.zero()) + quot
-            if settled:
-                dens[L] = settled
-        return LogRationalExpr(poly=poly, logs=dict(self.logs), dens=dens)
+                    settled[L, d] = rem
+                _merge(work, (L, d - 1) if d > 1 else None, quot)
+        work.update(settled)
+        return _expr(work)
 
     def __repr__(self) -> str:
-        return (
-            f"LogRationalExpr(poly={len(self.poly.terms)}t, "
-            f"logs={len(self.logs)}, dens={sum(len(b) for b in self.dens.values())})"
-        )
+        poly = self.parts.get(None, Polynomial())
+        logs = sum(1 for key in self.parts if key and not key[1])
+        dens = len(self.parts) - logs - (None in self.parts)
+        return f"LogRationalExpr(poly={len(poly.terms)}t, logs={logs}, dens={dens})"
 
 
 def divmod_linear(poly: Polynomial, L: LinearForm) -> tuple[Polynomial, Polynomial]:
@@ -549,16 +500,15 @@ def _term_lines(p: Polynomial) -> list[str]:
 def dumps_expr(e: LogRationalExpr) -> str:
     """Canonical serialization; deterministic bytes for equal expressions."""
     lines: list[str] = []
-    if not e.poly.is_zero:
-        lines.append("POLY")
-        lines.extend(_term_lines(e.poly))
-    for L in sorted(e.logs):
-        lines.append(f"LOG {L.p} {L.q}")
-        lines.extend(_term_lines(e.logs[L]))
-    for L in sorted(e.dens):
-        for d in sorted(e.dens[L]):
-            lines.append(f"DEN {L.p} {L.q} {d}")
-            lines.extend(_term_lines(e.dens[L][d]))
+    # POLY first, then every LOG section, then every DEN section
+    for key in sorted(e.parts, key=lambda key: () if key is None else (key[1] > 0, *key)):
+        if key is None:
+            lines.append("POLY")
+        elif key[1]:
+            lines.append(f"DEN {key[0].p} {key[0].q} {key[1]}")
+        else:
+            lines.append(f"LOG {key[0].p} {key[0].q}")
+        lines.extend(_term_lines(e.parts[key]))
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -585,45 +535,43 @@ def _parse_term(line: str) -> tuple[Monomial, Fraction]:
     return tuple(sorted(factors.items())), Fraction(num, den)
 
 
+def _section_key(header: str):
+    """The part key a section header opens."""
+    fields = header.split()
+    if not all(f.isascii() and f.isdigit() for f in fields[1:]):
+        raise ValueError(f"section header fields must be decimal digits: {header!r}")
+    if fields[0] == "POLY" and len(fields) == 1:
+        return None
+    if fields[0] == "LOG" and len(fields) == 3:
+        return LinearForm(int(fields[1]), int(fields[2])), 0
+    if fields[0] == "DEN" and len(fields) == 4:
+        d = int(fields[3])
+        if d < 1:
+            raise ValueError(f"denominator power must be >= 1: {header!r}")
+        return LinearForm(int(fields[1]), int(fields[2])), d
+    raise ValueError(f"malformed section header: {header!r}")
+
+
 def loads_expr(text: str) -> LogRationalExpr:
-    Terms = dict[Monomial, Fraction]
-    poly_terms: Terms = {}
-    log_terms: dict[LinearForm, Terms] = {}
-    den_terms: dict[LinearForm, dict[int, Terms]] = {}
-    target: Terms | None = None
-
-    def open_section(header: str) -> Terms:
-        fields = header.split()
-        if not all(f.isascii() and f.isdigit() for f in fields[1:]):
-            raise ValueError(f"section header fields must be decimal digits: {header!r}")
-        if fields[0] == "POLY" and len(fields) == 1:
-            return poly_terms
-        if fields[0] == "LOG" and len(fields) == 3:
-            L = LinearForm(int(fields[1]), int(fields[2]))
-            return log_terms.setdefault(L, {})
-        if fields[0] == "DEN" and len(fields) == 4:
-            L = LinearForm(int(fields[1]), int(fields[2]))
-            d = int(fields[3])
-            if d < 1:
-                raise ValueError(f"denominator power must be >= 1: {header!r}")
-            return den_terms.setdefault(L, {}).setdefault(d, {})
-        raise ValueError(f"malformed section header: {header!r}")
-
+    """Parse the exchange format; a section or a monomial within one
+    section may appear only once."""
+    sections: dict = {}
+    target: dict[Monomial, Fraction] | None = None
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         if line[0].isalpha():
-            target = open_section(line)
+            key = _section_key(line)
+            if key in sections:
+                raise ValueError(f"repeated section header: {line!r}")
+            target = sections[key] = {}
             continue
         if target is None:
             raise ValueError("term line before any section header")
         mono, c = _parse_term(line)
-        target[mono] = target.get(mono, ZERO) + c
-
-    return LogRationalExpr(
-        poly=Polynomial(poly_terms),
-        logs={L: Polynomial(t) for L, t in log_terms.items()},
-        dens={L: {d: Polynomial(t) for d, t in by.items()} for L, by in den_terms.items()},
-    )
-
+        if mono in target:
+            raise ValueError(f"monomial repeated in its section: {line!r}")
+        target[mono] = c
+    parts = ((key, Polynomial(terms)) for key, terms in sections.items())
+    return _expr({key: g for key, g in parts if not g.is_zero})

@@ -11,6 +11,7 @@ from gaudin_potentials.checks import (
     check_relations,
     check_shapovalov_oracle,
 )
+from gaudin_potentials.points import deterministic_parameter_points
 from gaudin_potentials.cli import RunConfig, render_text_report, run_checks
 from gaudin_potentials.report import CheckReport
 
@@ -22,7 +23,7 @@ def test_core_checks_pass(n, k):
     loc = check_locality(n, k)
     assert loc.passed
     assert "constant" in loc.details
-    assert check_hamiltonian_properties(n, k).passed
+    assert check_hamiltonian_properties(n, k, deterministic_parameter_points(n)).passed
 
 
 def test_hamiltonian_properties_catch_a_wrong_hamiltonian(monkeypatch):
@@ -38,7 +39,7 @@ def test_hamiltonian_properties_catch_a_wrong_hamiltonian(monkeypatch):
 
     monkeypatch.setattr(operators_mod, "hamiltonian_apply", wrong_for_m2)
     monkeypatch.setattr(checks_mod, "hamiltonian_apply", wrong_for_m2)
-    rep = check_hamiltonian_properties(4, 2)
+    rep = check_hamiltonian_properties(4, 2, deterministic_parameter_points(4))
     assert not rep.passed
     assert rep.first_failure["what"] == "basis action vs direct application"
     assert rep.first_failure["m"] == "2"

@@ -90,7 +90,7 @@ def _cli_exports():
 
 
 def _expanded_exports():
-    return [dumps_expr(LogRationalExpr.from_polynomial(build_P(N, K))), dumps_expr(build_Q(N, K))]
+    return [dumps_expr(LogRationalExpr(poly=build_P(N, K))), dumps_expr(build_Q(N, K))]
 
 
 # (route module, route name, production value, {oracle name: oracle value});
@@ -255,13 +255,6 @@ SENSITIVITY = [
     ("theorem2", "hamiltonian_pairing", _first_pole_dropped),
 ]
 
-THEOREM_CHECKS = {
-    "theorem1": potentials_mod.verify_theorem_first,
-    "relation": potentials_mod.verify_relation,
-    "theorem2": potentials_mod.verify_theorem_second,
-}
-
-
 def _a_shifted_by_one(coefficients):
     # project then reads a[|I meet J| - 1]: an off-by-one intersection index
     def mutant(n, k):
@@ -339,10 +332,11 @@ def test_every_check_has_a_sensitivity_row():
     "check,name,mutate", SENSITIVITY, ids=[f"{check}-{name}" for check, name, _ in SENSITIVITY]
 )
 def test_theorem_check_fails_on_mutant(monkeypatch, n, k, check, name, mutate):
-    verify = THEOREM_CHECKS[check]
-    good = verify(n, k)
+    config = RunConfig(n, k, checks=(check,))
+    run = registry()[check]
+    good = run(config)
     assert good.passed
     monkeypatch.setattr(potentials_mod, name, mutate(getattr(potentials_mod, name)))
-    bad = verify(n, k)
+    bad = run(config)
     assert not bad.passed
     assert bad.cases_checked == good.cases_checked
